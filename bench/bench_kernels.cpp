@@ -1,10 +1,11 @@
 // Host-kernel and dispatch-path microbenchmarks.
 //
 // Part 1 (host kernels): the numeric substrate the training experiments run
-// on -- GEMM, SpMM, butterfly/pixelfly forwards, FWHT, FFT, circular
-// convolution -- timed with a plain steady_clock loop. Useful for validating
-// that the Table 4 runs are not bottlenecked by an accidentally slow host
-// kernel.
+// on -- the Table 4 dense step through the GEMM core and through GemmNaive,
+// SpMM, butterfly/pixelfly forwards, FWHT, FFT, circular convolution --
+// timed with a plain steady_clock loop. --require-host-speedup F exits 1
+// unless the core runs the dense step at least F times faster than
+// GemmNaive.
 //
 // Part 2 (dispatch paths): the same vertex graph executed through the
 // engine's two dispatch paths -- generic string-keyed per-vertex dispatch
@@ -18,6 +19,7 @@
 // JSON values here are wall-clock measurements and intentionally vary run
 // to run; scripts/check.sh holds only the key schema stable
 // (scripts/bench_schemas/bench_kernels.keys).
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -48,18 +50,13 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Times `iters` calls of `fn` (after one untimed warmup) and records one
-// JSON entry: ns per iteration plus items (flops, elements) per second.
-void TimeKernel(BenchJsonWriter& json, Table& table, const std::string& name,
-                std::size_t n, std::size_t iters, std::size_t items_per_iter,
-                const std::function<void()>& fn) {
-  fn();
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < iters; ++i) fn();
-  const double s = SecondsSince(t0);
-  const double ns_per_iter = s / static_cast<double>(iters) * 1e9;
+// Appends one kernel record: ns per iteration plus items (flops, elements)
+// per second.
+void AddKernelRecord(BenchJsonWriter& json, Table& table,
+                     const std::string& name, std::size_t n, std::size_t iters,
+                     double ns_per_iter, double items_per_iter) {
   const double items_per_s =
-      s > 0.0 ? static_cast<double>(items_per_iter * iters) / s : 0.0;
+      ns_per_iter > 0.0 ? items_per_iter / ns_per_iter * 1e9 : 0.0;
   char rec[256];
   std::snprintf(rec, sizeof rec,
                 "{\"kernel\": \"%s\", \"n\": %zu, \"iters\": %zu, "
@@ -68,25 +65,75 @@ void TimeKernel(BenchJsonWriter& json, Table& table, const std::string& name,
   json.Add(rec);
   table.AddRow({name, Table::Int(static_cast<long long>(n)),
                 Table::Int(static_cast<long long>(iters)),
-                Table::Num(ns_per_iter / 1e3, 1), Table::Num(items_per_s / 1e9, 2)});
+                Table::Num(ns_per_iter / 1e3, 1),
+                Table::Num(items_per_s / 1e9, 2)});
 }
 
-void RunHostKernels(BenchJsonWriter& json, bool fast) {
+// Times `iters` calls of `fn` (after one untimed warmup) and records the
+// mean time per call.
+void TimeKernel(BenchJsonWriter& json, Table& table, const std::string& name,
+                std::size_t n, std::size_t iters, std::size_t items_per_iter,
+                const std::function<void()>& fn) {
+  fn();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < iters; ++i) fn();
+  const double s = SecondsSince(t0);
+  AddKernelRecord(json, table, name, n, iters,
+                  s / static_cast<double>(iters) * 1e9,
+                  static_cast<double>(items_per_iter));
+}
+
+// One Table 4 dense-layer SGD step's three products at batch 50, n = 1024:
+// forward y = x W, weight gradient dW += x^T dy, input gradient dx = dy W^T.
+// The core runs them as GemmBlocked / GemmTransA / GemmTransB; the naive
+// reference runs all three through GemmNaive with the transposes
+// materialised before timing. The two alternate and each keeps its best
+// step, so a burst of machine noise cannot favour either. Returns the
+// naive / core time ratio.
+double TimeDenseStep(BenchJsonWriter& json, Table& table, bool fast) {
+  const std::size_t batch = 50, n = 1024;
+  const std::size_t reps = fast ? 5 : 15;
+  Rng rng(2);
+  const Matrix x = Matrix::RandomNormal(batch, n, rng);
+  const Matrix w = Matrix::RandomNormal(n, n, rng, 0.03f);
+  const Matrix dy = Matrix::RandomNormal(batch, n, rng);
+  const Matrix xt = x.Transposed(), wt = w.Transposed();
+  Matrix y(batch, n), dw(n, n), dx(batch, n);
+  auto core_step = [&] {
+    GemmBlocked(x, w, y);
+    GemmTransA(x, dy, dw, /*accumulate=*/true);
+    GemmTransB(dy, w, dx);
+  };
+  auto naive_step = [&] {
+    GemmNaive(x, w, y);
+    GemmNaive(xt, dy, dw, /*accumulate=*/true);
+    GemmNaive(dy, wt, dx);
+  };
+  auto seconds = [](const std::function<void()>& fn) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    return SecondsSince(t0);
+  };
+  core_step();
+  naive_step();
+  double core_s = 1e30, naive_s = 1e30;
+  for (std::size_t i = 0; i < reps; ++i) {
+    core_s = std::min(core_s, seconds(core_step));
+    naive_s = std::min(naive_s, seconds(naive_step));
+  }
+  const double flops = 3.0 * GemmFlops(batch, n, n);
+  AddKernelRecord(json, table, "dense_step_core", n, reps, core_s * 1e9, flops);
+  AddKernelRecord(json, table, "dense_step_naive", n, reps, naive_s * 1e9,
+                  flops);
+  return naive_s / core_s;
+}
+
+double RunHostKernels(BenchJsonWriter& json, bool fast) {
   PrintBanner("Host kernels: training-side numeric substrate");
   Table t({"kernel", "n", "iters", "us/iter", "Gitems/s"});
   const std::size_t scale = fast ? 1 : 4;
 
-  {
-    const std::size_t n = fast ? 128 : 256;
-    Rng rng(1);
-    Matrix a = Matrix::RandomNormal(n, n, rng);
-    Matrix b = Matrix::RandomNormal(n, n, rng);
-    Matrix c(n, n);
-    TimeKernel(json, t, "gemm_blocked", n, 4 * scale, 2 * n * n * n,
-               [&] { GemmBlocked(a, b, c); });
-    TimeKernel(json, t, "gemm_naive", n, 2 * scale, 2 * n * n * n,
-               [&] { GemmNaive(a, b, c); });
-  }
+  const double dense_speedup = TimeDenseStep(json, t, fast);
   {
     const std::size_t n = 1024;
     Rng rng(3);
@@ -142,6 +189,9 @@ void RunHostKernels(BenchJsonWriter& json, bool fast) {
                [&] { core::CircularConvolve(c, x, out); });
   }
   t.Print();
+  std::printf("\ndense step (batch 50, n 1024): GEMM core %.2fx GemmNaive\n",
+              dense_speedup);
+  return dense_speedup;
 }
 
 // ---------------------------------------------------------------------------
@@ -263,8 +313,17 @@ int main(int argc, char** argv) {
   // --require-speedup X: exit nonzero unless the specialized run path is at
   // least X times the generic path's vertex throughput (0 disables).
   const double require_speedup = cli.GetDouble("require-speedup", 0.0);
+  // --require-host-speedup F: exit nonzero unless the GEMM core runs the
+  // Table 4 dense step at least F times faster than GemmNaive.
+  const double require_host_speedup =
+      cli.GetDouble("require-host-speedup", 0.0);
+  const bool dispatch_only = cli.GetBool("dispatch-only", false);
+  REPRO_REQUIRE(!(dispatch_only && require_host_speedup > 0.0),
+                "--require-host-speedup needs the host kernels; drop "
+                "--dispatch-only");
 
-  if (!cli.GetBool("dispatch-only", false)) RunHostKernels(json, fast);
+  double host_speedup = 0.0;
+  if (!dispatch_only) host_speedup = RunHostKernels(json, fast);
 
   PrintBanner("Engine dispatch paths: generic per-vertex vs specialized "
               "batched SoA");
@@ -338,6 +397,12 @@ int main(int argc, char** argv) {
   if (require_speedup > 0.0 && run_speedup < require_speedup) {
     std::printf("FAIL: specialized run speedup %.2fx below required %.2fx\n",
                 run_speedup, require_speedup);
+    return 1;
+  }
+  if (require_host_speedup > 0.0 && host_speedup < require_host_speedup) {
+    std::printf("FAIL: dense-step GEMM core speedup %.2fx below required "
+                "%.2fx\n",
+                host_speedup, require_host_speedup);
     return 1;
   }
   return 0;

@@ -27,7 +27,11 @@
 #   6. specialized vs generic dispatch: bench JSON and (compile-span-filtered)
 #      traces byte-identical with specialize_kernels on vs --no-specialize,
 #      and bench_kernels --require-speedup 3 gates the throughput claim;
-#   7. AddressSanitizer build of the concurrency-heavy tests (test_serve,
+#   7. host training numerics: bench_table4_shl --fast --json must be
+#      byte-identical to scripts/golden/bench_table4_shl_fast.json at 1 and
+#      4 host threads, and bench_kernels --require-host-speedup 1.5 gates
+#      the GEMM core's dense-step speedup over GemmNaive;
+#   8. AddressSanitizer build of the concurrency-heavy tests (test_serve,
 #      test_session, test_obs, test_kernels) in a side build dir.
 #
 # Usage: scripts/check.sh [build-dir]      (default: build)
@@ -342,6 +346,33 @@ if ! REPRO_THREADS=1 "$build_dir/bench/bench_kernels" --fast --dispatch-only \
 fi
 grep 'speedup' "$tmp_dir/kernels_gate.log" || true
 echo "ok: dispatch paths observationally identical; specialized >= 3x generic"
+
+echo "== host training numerics: golden bits + GEMM core gate =="
+# The host GEMM core fixes each output's summation order, so training is
+# bit-identical to the scalar loops it replaced and independent of the
+# thread count. The golden was captured from the pre-core scalar loops with
+# exactly this command.
+for threads in 1 4; do
+  t4_json="$tmp_dir/table4_fast_t$threads.json"
+  REPRO_THREADS=$threads "$build_dir/bench/bench_table4_shl" --fast \
+    --json "$t4_json" > "$tmp_dir/table4_fast_t$threads.log"
+  if ! cmp -s "$t4_json" "$repo_root/scripts/golden/bench_table4_shl_fast.json"; then
+    echo "FAIL: bench_table4_shl --fast bits differ from the golden at $threads threads"
+    diff "$t4_json" "$repo_root/scripts/golden/bench_table4_shl_fast.json" | head -10
+    exit 1
+  fi
+done
+# The throughput claim, machine-checked in-process: the Table 4 dense step
+# (forward, dW, dX at batch 50, n 1024) through the core must clear 1.5x
+# the same three products through GemmNaive.
+if ! REPRO_THREADS=1 "$build_dir/bench/bench_kernels" --fast \
+    --require-host-speedup 1.5 > "$tmp_dir/host_gemm_gate.log"; then
+  echo "FAIL: GEMM core dense step below 1.5x GemmNaive"
+  grep -E 'dense' "$tmp_dir/host_gemm_gate.log" || true
+  exit 1
+fi
+grep 'dense step' "$tmp_dir/host_gemm_gate.log" || true
+echo "ok: table4 training bits match the golden at 1 and 4 threads; core >= 1.5x naive"
 
 echo "== asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable) =="
 asan_dir="$build_dir-asan"

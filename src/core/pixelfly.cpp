@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "linalg/gemm.h"
 #include "util/bitops.h"
 #include "util/error.h"
 
@@ -70,44 +71,21 @@ void Pixelfly::Forward(const Matrix& x, Matrix& y, Workspace* ws) const {
   } else {
     y.Zero();
   }
-  // Block-sparse term: y[bi*b + i] += sum_q W_q[i, p] x[bj*b + p].
+  // Block-sparse term, one GEMM per pattern block in pattern order:
+  // Y[:, bi] += X[:, bj] W_q^T.
   const std::size_t b2 = b * b;
-  for (std::size_t row = 0; row < batch; ++row) {
-    const float* xr = x.data() + row * n;
-    float* yr = y.data() + row * n;
-    for (std::size_t q = 0; q < pattern_.size(); ++q) {
-      const float* w = blocks_.data() + q * b2;
-      const float* xb = xr + pattern_[q].bj * b;
-      float* yb = yr + pattern_[q].bi * b;
-      for (std::size_t i = 0; i < b; ++i) {
-        float acc = 0.0f;
-        const float* wrow = w + i * b;
-        for (std::size_t p = 0; p < b; ++p) acc += wrow[p] * xb[p];
-        yb[i] += acc;
-      }
-    }
+  for (std::size_t q = 0; q < pattern_.size(); ++q) {
+    GemmStrided(GemmForm::kTransB, batch, b, b,
+                x.data() + pattern_[q].bj * b, n, blocks_.data() + q * b2, b,
+                y.data() + pattern_[q].bi * b, n, /*accumulate=*/true);
   }
   // Low-rank term: t = x V (batch x r), y += t U^T.
   Matrix t(batch, std::max<std::size_t>(r, 1));
   if (r > 0) {
-    for (std::size_t row = 0; row < batch; ++row) {
-      const float* xr = x.data() + row * n;
-      float* tr = t.data() + row * t.cols();
-      for (std::size_t j = 0; j < r; ++j) tr[j] = 0.0f;
-      for (std::size_t i = 0; i < n; ++i) {
-        const float xv = xr[i];
-        if (xv == 0.0f) continue;
-        const float* vrow = v_.data() + i * r;
-        for (std::size_t j = 0; j < r; ++j) tr[j] += xv * vrow[j];
-      }
-      float* yr = y.data() + row * n;
-      for (std::size_t i = 0; i < n; ++i) {
-        const float* urow = u_.data() + i * r;
-        float acc = 0.0f;
-        for (std::size_t j = 0; j < r; ++j) acc += urow[j] * tr[j];
-        yr[i] += acc;
-      }
-    }
+    GemmStrided(GemmForm::kNN, batch, r, n, x.data(), n, v_.data(), r,
+                t.data(), r, /*accumulate=*/false);
+    GemmStrided(GemmForm::kTransB, batch, n, r, t.data(), r, u_.data(), r,
+                y.data(), n, /*accumulate=*/true);
   }
   if (ws != nullptr) {
     ws->x = x;
@@ -122,57 +100,33 @@ void Pixelfly::Backward(const Workspace& ws, const Matrix& dy, Matrix& dx) {
   const std::size_t batch = dy.rows();
   REPRO_REQUIRE(ws.x.rows() == batch && dy.cols() == n,
                 "pixelfly backward shape mismatch");
-  dx = Matrix(batch, n);
-  if (config_.residual) dx = dy;
-
+  if (config_.residual) {
+    dx = dy;
+  } else {
+    dx = Matrix(batch, n);
+  }
+  // Per pattern block: dW_q += dY[:, bi]^T X[:, bj] ;
+  // dX[:, bj] += dY[:, bi] W_q.
   const std::size_t b2 = b * b;
-  for (std::size_t row = 0; row < batch; ++row) {
-    const float* xr = ws.x.data() + row * n;
-    const float* gy = dy.data() + row * n;
-    float* gx = dx.data() + row * n;
-    for (std::size_t q = 0; q < pattern_.size(); ++q) {
-      const float* w = blocks_.data() + q * b2;
-      float* gw = block_grads_.data() + q * b2;
-      const float* xb = xr + pattern_[q].bj * b;
-      const float* gyb = gy + pattern_[q].bi * b;
-      float* gxb = gx + pattern_[q].bj * b;
-      for (std::size_t i = 0; i < b; ++i) {
-        const float g = gyb[i];
-        if (g == 0.0f) continue;
-        const float* wrow = w + i * b;
-        float* gwrow = gw + i * b;
-        for (std::size_t p = 0; p < b; ++p) {
-          gwrow[p] += g * xb[p];
-          gxb[p] += wrow[p] * g;
-        }
-      }
-    }
-    if (r > 0) {
-      const float* tr = ws.t.data() + row * ws.t.cols();
-      // dt = U^T dy ; dU += dy t^T ; dV += x dt^T ; dx += V dt.
-      std::vector<float> dt(r, 0.0f);
-      for (std::size_t i = 0; i < n; ++i) {
-        const float g = gy[i];
-        if (g == 0.0f) continue;
-        const float* urow = u_.data() + i * r;
-        float* gurow = u_grads_.data() + i * r;
-        for (std::size_t j = 0; j < r; ++j) {
-          dt[j] += urow[j] * g;
-          gurow[j] += g * tr[j];
-        }
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        const float xv = xr[i];
-        const float* vrow = v_.data() + i * r;
-        float* gvrow = v_grads_.data() + i * r;
-        float acc = 0.0f;
-        for (std::size_t j = 0; j < r; ++j) {
-          gvrow[j] += xv * dt[j];
-          acc += vrow[j] * dt[j];
-        }
-        gx[i] += acc;
-      }
-    }
+  for (std::size_t q = 0; q < pattern_.size(); ++q) {
+    const float* gy = dy.data() + pattern_[q].bi * b;
+    GemmStrided(GemmForm::kTransA, b, b, batch, gy, n,
+                ws.x.data() + pattern_[q].bj * b, n,
+                block_grads_.data() + q * b2, b, /*accumulate=*/true);
+    GemmStrided(GemmForm::kNN, batch, b, b, gy, n, blocks_.data() + q * b2, b,
+                dx.data() + pattern_[q].bj * b, n, /*accumulate=*/true);
+  }
+  if (r > 0) {
+    // dT = dY U ; dU += dY^T T ; dV += X^T dT ; dX += dT V^T.
+    Matrix dt(batch, r);
+    GemmStrided(GemmForm::kNN, batch, r, n, dy.data(), n, u_.data(), r,
+                dt.data(), r, /*accumulate=*/false);
+    GemmStrided(GemmForm::kTransA, n, r, batch, dy.data(), n, ws.t.data(),
+                ws.t.cols(), u_grads_.data(), r, /*accumulate=*/true);
+    GemmStrided(GemmForm::kTransA, n, r, batch, ws.x.data(), n, dt.data(), r,
+                v_grads_.data(), r, /*accumulate=*/true);
+    GemmStrided(GemmForm::kTransB, batch, n, r, dt.data(), r, v_.data(), r,
+                dx.data(), n, /*accumulate=*/true);
   }
 }
 

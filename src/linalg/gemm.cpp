@@ -1,6 +1,9 @@
 #include "linalg/gemm.h"
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
+#include <vector>
 
 #include "util/bitops.h"
 #include "util/parallel.h"
@@ -8,15 +11,199 @@
 namespace repro {
 namespace {
 
-constexpr std::size_t kBlock = 64;
+// Register block: kMR rows of A times one kNR-wide panel of B. Ten 4-float
+// accumulators fit the sixteen SSE registers of baseline x86-64 alongside
+// the B lanes and the broadcast A value, and kMR divides the training batch
+// of 50, so batch-major products waste no padded rows.
+constexpr std::size_t kMR = 5;
+constexpr std::size_t kNR = 8;
+typedef float Lanes __attribute__((vector_size(16)));
+constexpr std::size_t kLanes = sizeof(Lanes) / sizeof(float);
+constexpr std::size_t kNV = kNR / kLanes;  // Lanes per tile row
 
-void CheckShapes(const Matrix& a, const Matrix& b, const Matrix& c,
-                 std::size_t m, std::size_t k, std::size_t n) {
-  REPRO_REQUIRE(a.size() >= m * k && b.size() >= k * n && c.size() >= m * n,
-                "gemm shape mismatch");
+// Below this many multiply-adds a ParallelFor shard costs more than it saves.
+constexpr std::size_t kMinShardMacs = std::size_t{1} << 18;
+
+// How a tile's accumulators start and how they land in C.
+enum class Store {
+  kOverwrite,  // start from zero, C = sum
+  kInto,       // start from C, add each product in turn
+  kAddTotal,   // start from zero, C = C + sum
+};
+
+Lanes LoadLanes(const float* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void StoreLanes(float* p, Lanes v) { std::memcpy(p, &v, sizeof v); }
+
+// One kMR x kNR tile of C over the full k: ap is the packed A block
+// (k x kMR), bp the packed B panel (k x kNR). Each lane of acc[r] is one
+// output, summed in ascending p; lanes never mix.
+template <Store kStore>
+void MicroKernel(std::size_t k, const float* ap, const float* bp, float* c,
+                 std::size_t ldc) {
+  Lanes acc[kMR][kNV];
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < kMR; ++r) {
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < kNV; ++v) {
+      acc[r][v] = kStore == Store::kInto ? LoadLanes(c + r * ldc + v * kLanes)
+                                         : Lanes{};
+    }
+  }
+  for (std::size_t p = 0; p < k; ++p, ap += kMR, bp += kNR) {
+    Lanes bv[kNV];
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < kNV; ++v) bv[v] = LoadLanes(bp + v * kLanes);
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < kMR; ++r) {
+#pragma GCC unroll 8
+      for (std::size_t v = 0; v < kNV; ++v) acc[r][v] += ap[r] * bv[v];
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < kMR; ++r) {
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < kNV; ++v) {
+      float* cv = c + r * ldc + v * kLanes;
+      StoreLanes(cv, kStore == Store::kAddTotal ? LoadLanes(cv) + acc[r][v]
+                                                : acc[r][v]);
+    }
+  }
+}
+
+// Runs the micro-kernel on a partial tile (mr <= kMR rows, nr <= kNR
+// columns) through a padded copy; the padding lanes are discarded.
+template <Store kStore>
+void EdgeKernel(std::size_t k, const float* ap, const float* bp, float* c,
+                std::size_t ldc, std::size_t mr, std::size_t nr) {
+  float tile[kMR * kNR] = {};
+  if constexpr (kStore != Store::kOverwrite) {
+    for (std::size_t r = 0; r < mr; ++r) {
+      std::copy(c + r * ldc, c + r * ldc + nr, tile + r * kNR);
+    }
+  }
+  MicroKernel<kStore>(k, ap, bp, tile, kNR);
+  for (std::size_t r = 0; r < mr; ++r) {
+    std::copy(tile + r * kNR, tile + r * kNR + nr, c + r * ldc);
+  }
+}
+
+// Packs op(A) into kMR-row blocks, each stored k-major (k x kMR) and
+// zero-padded past row m.
+void PackA(GemmForm form, std::size_t m, std::size_t k, const float* a,
+           std::size_t lda, float* ap) {
+  for (std::size_t i0 = 0; i0 < m; i0 += kMR, ap += k * kMR) {
+    const std::size_t mr = std::min(kMR, m - i0);
+    for (std::size_t p = 0; p < k; ++p) {
+      float* dst = ap + p * kMR;
+      for (std::size_t r = 0; r < kMR; ++r) {
+        if (r >= mr) {
+          dst[r] = 0.0f;
+        } else if (form == GemmForm::kTransA) {
+          dst[r] = a[p * lda + i0 + r];
+        } else {
+          dst[r] = a[(i0 + r) * lda + p];
+        }
+      }
+    }
+  }
+}
+
+// Packs columns [j0, j0 + nr) of op(B) as a k x kNR panel, zero-padded.
+void PackB(GemmForm form, std::size_t k, const float* b, std::size_t ldb,
+           std::size_t j0, std::size_t nr, float* bp) {
+  for (std::size_t p = 0; p < k; ++p) {
+    float* dst = bp + p * kNR;
+    for (std::size_t j = 0; j < kNR; ++j) {
+      if (j >= nr) {
+        dst[j] = 0.0f;
+      } else if (form == GemmForm::kTransB) {
+        dst[j] = b[(j0 + j) * ldb + p];
+      } else {
+        dst[j] = b[p * ldb + j0 + j];
+      }
+    }
+  }
+}
+
+// Bound on each packing buffer, in floats. B: each shard packs consecutive
+// panels up to this size and sweeps them row block by row block, so each
+// packed A block is reused across the group while it is hot. A: rows are
+// packed (and multiplied) in chunks of at most this size.
+constexpr std::size_t kPackFloats = std::size_t{1} << 16;
+
+template <Store kStore>
+void RunPanels(GemmForm form, std::size_t m, std::size_t n, std::size_t k,
+               const float* ap, const float* b, std::size_t ldb, float* c,
+               std::size_t ldc) {
+  const std::size_t row_blocks = CeilDiv(m, kMR);
+  const std::size_t panel_floats = std::max<std::size_t>(1, k * kNR);
+  const std::size_t group =
+      std::max<std::size_t>(1, kPackFloats / panel_floats);
+  const std::size_t panel_macs = row_blocks * kMR * panel_floats;
+  ParallelFor(
+      0, CeilDiv(n, kNR),
+      [&](std::size_t lo, std::size_t hi) {
+        std::vector<float> bp;
+        for (std::size_t g0 = lo; g0 < hi; g0 += group) {
+          const std::size_t g1 = std::min(g0 + group, hi);
+          bp.resize((g1 - g0) * panel_floats);
+          for (std::size_t panel = g0; panel < g1; ++panel) {
+            const std::size_t j0 = panel * kNR;
+            PackB(form, k, b, ldb, j0, std::min(kNR, n - j0),
+                  bp.data() + (panel - g0) * panel_floats);
+          }
+          for (std::size_t blk = 0; blk < row_blocks; ++blk) {
+            const std::size_t i0 = blk * kMR;
+            const std::size_t mr = std::min(kMR, m - i0);
+            const float* apb = ap + blk * k * kMR;
+            for (std::size_t panel = g0; panel < g1; ++panel) {
+              const std::size_t j0 = panel * kNR;
+              const std::size_t nr = std::min(kNR, n - j0);
+              const float* bpp = bp.data() + (panel - g0) * panel_floats;
+              float* ct = c + i0 * ldc + j0;
+              if (mr == kMR && nr == kNR) {
+                MicroKernel<kStore>(k, apb, bpp, ct, ldc);
+              } else {
+                EdgeKernel<kStore>(k, apb, bpp, ct, ldc, mr, nr);
+              }
+            }
+          }
+        }
+      },
+      std::max<std::size_t>(1, kMinShardMacs / panel_macs));
 }
 
 }  // namespace
+
+void GemmStrided(GemmForm form, std::size_t m, std::size_t n, std::size_t k,
+                 const float* a, std::size_t lda, const float* b,
+                 std::size_t ldb, float* c, std::size_t ldc, bool accumulate) {
+  if (m == 0 || n == 0) return;
+  // Rows per packed chunk of A: a multiple of kMR within kPackFloats.
+  const std::size_t chunk =
+      kMR * std::max<std::size_t>(
+                1, kPackFloats / (kMR * std::max<std::size_t>(1, k)));
+  const std::size_t ap_rows = std::min(chunk, CeilDiv(m, kMR) * kMR);
+  std::unique_ptr<float[]> ap(new float[ap_rows * k]);
+  for (std::size_t i0 = 0; i0 < m; i0 += chunk) {
+    const std::size_t rows = std::min(chunk, m - i0);
+    const float* a0 = form == GemmForm::kTransA ? a + i0 : a + i0 * lda;
+    float* c0 = c + i0 * ldc;
+    PackA(form, rows, k, a0, lda, ap.get());
+    if (!accumulate) {
+      RunPanels<Store::kOverwrite>(form, rows, n, k, ap.get(), b, ldb, c0, ldc);
+    } else if (form == GemmForm::kTransB) {
+      RunPanels<Store::kAddTotal>(form, rows, n, k, ap.get(), b, ldb, c0, ldc);
+    } else {
+      RunPanels<Store::kInto>(form, rows, n, k, ap.get(), b, ldb, c0, ldc);
+    }
+  }
+}
 
 void GemmNaive(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
@@ -42,34 +229,8 @@ void GemmBlocked(const Matrix& a, const Matrix& b, Matrix& c,
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   REPRO_REQUIRE(b.rows() == k && c.rows() == m && c.cols() == n,
                 "GemmBlocked shape mismatch");
-  CheckShapes(a, b, c, m, k, n);
-  if (!accumulate) c.Zero();
-  // Row blocks are independent: shard them over the host thread pool
-  // (serial on single-core machines; see util/parallel.h).
-  ParallelFor(
-      0, CeilDiv(m, kBlock),
-      [&](std::size_t blk_lo, std::size_t blk_hi) {
-        for (std::size_t blk = blk_lo; blk < blk_hi; ++blk) {
-          const std::size_t i0 = blk * kBlock;
-          const std::size_t i1 = std::min(i0 + kBlock, m);
-          for (std::size_t p0 = 0; p0 < k; p0 += kBlock) {
-            const std::size_t p1 = std::min(p0 + kBlock, k);
-            for (std::size_t j0 = 0; j0 < n; j0 += kBlock) {
-              const std::size_t j1 = std::min(j0 + kBlock, n);
-              for (std::size_t i = i0; i < i1; ++i) {
-                float* crow = c.data() + i * n;
-                for (std::size_t p = p0; p < p1; ++p) {
-                  const float av = a(i, p);
-                  const float* brow = b.data() + p * n;
-                  for (std::size_t j = j0; j < j1; ++j) {
-                    crow[j] += av * brow[j];
-                  }
-                }
-              }
-            }
-          }
-        }
-      });
+  GemmStrided(GemmForm::kNN, m, n, k, a.data(), k, b.data(), n, c.data(), n,
+              accumulate);
 }
 
 void GemmTransA(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
@@ -77,36 +238,17 @@ void GemmTransA(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
   REPRO_REQUIRE(b.rows() == k && c.rows() == m && c.cols() == n,
                 "GemmTransA shape mismatch");
-  if (!accumulate) c.Zero();
-  for (std::size_t p = 0; p < k; ++p) {
-    const float* arow = a.data() + p * m;
-    const float* brow = b.data() + p * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* crow = c.data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        crow[j] += av * brow[j];
-      }
-    }
-  }
+  GemmStrided(GemmForm::kTransA, m, n, k, a.data(), m, b.data(), n, c.data(),
+              n, accumulate);
 }
 
 void GemmTransB(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
-  // b is (n x k): C(m x n) = A * B^T. Dot-product form keeps B rows hot.
+  // b is (n x k): C(m x n) = A * B^T.
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   REPRO_REQUIRE(b.cols() == k && c.rows() == m && c.cols() == n,
                 "GemmTransB shape mismatch");
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = a.data() + i * k;
-    float* crow = c.data() + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = b.data() + j * k;
-      float acc = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      crow[j] = accumulate ? crow[j] + acc : acc;
-    }
-  }
+  GemmStrided(GemmForm::kTransB, m, n, k, a.data(), k, b.data(), k, c.data(),
+              n, accumulate);
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {

@@ -8,27 +8,29 @@ namespace repro::nn {
 
 double Evaluate(Sequential& model, const data::Dataset& d,
                 std::size_t batch_size) {
-  std::size_t correct = 0, total = 0;
+  REPRO_REQUIRE(batch_size > 0, "Evaluate: batch size must be positive");
+  const std::size_t dim = d.dim();
+  std::size_t correct = 0;
   Matrix x;
-  std::vector<std::uint8_t> y;
-  Rng rng(0);
-  data::BatchIterator it(d, std::min(batch_size, d.size()), rng,
-                         /*shuffle=*/false);
-  while (it.Next(x, y)) {
+  // Every sample is scored: the final batch may be short.
+  for (std::size_t begin = 0; begin < d.size(); begin += batch_size) {
+    const std::size_t rows = std::min(batch_size, d.size() - begin);
+    if (x.rows() != rows) x = Matrix(rows, dim);
+    std::copy(d.images.data() + begin * dim,
+              d.images.data() + (begin + rows) * dim, x.data());
     const Matrix& logits = model.Forward(x, /*train=*/false);
-    for (std::size_t r = 0; r < y.size(); ++r) {
+    for (std::size_t r = 0; r < rows; ++r) {
       const float* row = logits.data() + r * logits.cols();
       std::size_t argmax = 0;
       for (std::size_t c = 1; c < logits.cols(); ++c) {
         if (row[c] > row[argmax]) argmax = c;
       }
-      correct += argmax == y[r] ? 1 : 0;
-      ++total;
+      correct += argmax == d.labels[begin + r] ? 1 : 0;
     }
   }
-  return total == 0 ? 0.0
-                    : 100.0 * static_cast<double>(correct) /
-                          static_cast<double>(total);
+  return d.size() == 0 ? 0.0
+                       : 100.0 * static_cast<double>(correct) /
+                             static_cast<double>(d.size());
 }
 
 TrainResult Train(Sequential& model, const data::Dataset& train,

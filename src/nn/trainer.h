@@ -33,7 +33,8 @@ struct TrainResult {
 TrainResult Train(Sequential& model, const data::Dataset& train,
                   const data::Dataset& test, const TrainConfig& config);
 
-// Evaluates accuracy (percent) over a dataset in batches.
+// Evaluates accuracy (percent) over every sample of a dataset, in batches of
+// at most batch_size rows (the last batch may be short).
 double Evaluate(Sequential& model, const data::Dataset& d,
                 std::size_t batch_size = 200);
 

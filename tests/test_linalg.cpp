@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <tuple>
 
 #include "linalg/gemm.h"
 #include "linalg/matrix.h"
 #include "linalg/sparse.h"
 #include "linalg/spmm.h"
+#include "util/parallel.h"
 
 namespace repro {
 namespace {
@@ -92,6 +95,103 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{16, 16, 16}, std::tuple{33, 17, 65},
                       std::tuple{64, 128, 32}, std::tuple{100, 1, 100},
                       std::tuple{1, 200, 1}, std::tuple{70, 70, 70}));
+
+// Bit-exactness of the GEMM core: every form must reproduce GemmNaive's
+// bits (transposes materialised), in both accumulate modes, at any worker
+// count.
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Normal entries with every third one an exact zero.
+Matrix WithZeros(std::size_t rows, std::size_t cols, Rng& rng) {
+  Matrix m = Matrix::RandomNormal(rows, cols, rng);
+  for (std::size_t i = 0; i < m.size(); i += 3) m.data()[i] = 0.0f;
+  return m;
+}
+
+class GemmBits : public ::testing::TestWithParam<std::tuple<int, int, int>> {
+ protected:
+  void TearDown() override { SetParallelWorkers(0); }
+};
+
+TEST_P(GemmBits, EveryFormMatchesNaive) {
+  const auto [mi, ki, ni] = GetParam();
+  const std::size_t m = mi, k = ki, n = ni;
+  Rng rng(m * 7 + k * 3 + n);
+  const Matrix a = WithZeros(m, k, rng);
+  const Matrix b = WithZeros(k, n, rng);
+  const Matrix at = a.Transposed(), bt = b.Transposed();
+  const Matrix c0 = Matrix::RandomNormal(m, n, rng);
+  for (const bool accumulate : {false, true}) {
+    // NN and TransA add each product into C in turn: exactly GemmNaive.
+    Matrix ref = c0;
+    GemmNaive(a, b, ref, accumulate);
+    // TransB sums from zero, then adds the total to C.
+    Matrix ref_tb(m, n);
+    GemmNaive(a, b, ref_tb);
+    if (accumulate) {
+      for (std::size_t i = 0; i < ref_tb.size(); ++i) {
+        ref_tb.data()[i] = c0.data()[i] + ref_tb.data()[i];
+      }
+    }
+    for (const std::size_t workers : {1u, 4u}) {
+      SetParallelWorkers(workers);
+      SCOPED_TRACE(::testing::Message() << "accumulate=" << accumulate
+                                        << " workers=" << workers);
+      Matrix c = c0;
+      GemmBlocked(a, b, c, accumulate);
+      EXPECT_TRUE(SameBits(c, ref)) << "GemmBlocked";
+      c = c0;
+      GemmTransA(at, b, c, accumulate);
+      EXPECT_TRUE(SameBits(c, ref)) << "GemmTransA";
+      c = c0;
+      GemmTransB(a, bt, c, accumulate);
+      EXPECT_TRUE(SameBits(c, ref_tb)) << "GemmTransB";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmBits,
+    ::testing::Values(std::tuple{1, 1, 1}, std::tuple{3, 5, 7},
+                      std::tuple{16, 16, 16}, std::tuple{33, 17, 65},
+                      std::tuple{64, 128, 32}, std::tuple{100, 1, 100},
+                      std::tuple{1, 200, 1}, std::tuple{70, 70, 70},
+                      std::tuple{50, 1024, 1024}, std::tuple{50, 1024, 10}));
+
+TEST(GemmStrided, SubBlockLeavesNeighboursUntouched) {
+  // A 5x6 window of a 9x11 C, fed from windows of larger A and B.
+  Rng rng(12);
+  const Matrix a = Matrix::RandomNormal(8, 10, rng);   // window (1,2) 5x4
+  const Matrix b = Matrix::RandomNormal(7, 12, rng);   // window (2,3) 4x6
+  Matrix c = Matrix::RandomNormal(9, 11, rng);
+  const Matrix c0 = c;
+  GemmStrided(GemmForm::kNN, 5, 6, 4, a.data() + 1 * 10 + 2, 10,
+              b.data() + 2 * 12 + 3, 12, c.data() + 3 * 11 + 4, 11,
+              /*accumulate=*/true);
+  Matrix aw(5, 4), bw(4, 6), cw(5, 6);
+  for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t p = 0; p < 4; ++p) aw(i, p) = a(1 + i, 2 + p);
+  }
+  for (std::size_t p = 0; p < 4; ++p) {
+    for (std::size_t j = 0; j < 6; ++j) bw(p, j) = b(2 + p, 3 + j);
+  }
+  for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t j = 0; j < 6; ++j) cw(i, j) = c0(3 + i, 4 + j);
+  }
+  GemmNaive(aw, bw, cw, /*accumulate=*/true);
+  for (std::size_t i = 0; i < 9; ++i) {
+    for (std::size_t j = 0; j < 11; ++j) {
+      const bool inside = i >= 3 && i < 8 && j >= 4 && j < 10;
+      const float want = inside ? cw(i - 3, j - 4) : c0(i, j);
+      EXPECT_EQ(std::memcmp(&c(i, j), &want, sizeof want), 0)
+          << "(" << i << "," << j << ")";
+    }
+  }
+}
 
 TEST(Gemm, AccumulateMode) {
   Rng rng(5);

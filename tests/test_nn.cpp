@@ -374,6 +374,33 @@ TEST(Trainer, EvaluateMatchesManualArgmax) {
   EXPECT_LE(acc, 100.0);
 }
 
+TEST(Trainer, EvaluateScoresShortFinalBatch) {
+  // 450 samples at batch 200: two full batches plus a short one of 50.
+  // Every sample must be scored, exactly as one 450-row forward scores it.
+  Rng rng(47);
+  data::SyntheticConfig cfg;
+  cfg.num_samples = 450;
+  data::Dataset d = data::SyntheticCifar10(cfg);
+  core::ShlShape shape;
+  for (core::Method method :
+       {core::Method::kBaseline, core::Method::kPixelfly}) {
+    Sequential model = BuildShl(method, shape, rng);
+    const Matrix& logits = model.Forward(d.images, /*train=*/false);
+    std::size_t correct = 0;
+    for (std::size_t r = 0; r < d.size(); ++r) {
+      const float* row = logits.data() + r * logits.cols();
+      std::size_t argmax = 0;
+      for (std::size_t c = 1; c < logits.cols(); ++c) {
+        if (row[c] > row[argmax]) argmax = c;
+      }
+      correct += argmax == d.labels[r] ? 1 : 0;
+    }
+    const double want = 100.0 * static_cast<double>(correct) / 450.0;
+    EXPECT_DOUBLE_EQ(Evaluate(model, d, 200), want) << core::MethodName(method);
+    EXPECT_DOUBLE_EQ(Evaluate(model, d, 450), want) << core::MethodName(method);
+  }
+}
+
 TEST(Trainer, StepsCountMatchesSchedule) {
   Rng rng(44);
   data::SyntheticConfig cfg;

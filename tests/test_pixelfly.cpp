@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "core/pixelfly.h"
 #include "linalg/gemm.h"
@@ -196,6 +200,171 @@ TEST(Pixelfly, FlatSumCommutes) {
   }
   EXPECT_TRUE(AllClose(pf.ToDense(), manual, 1e-4, 1e-4));
 }
+
+// The per-row scalar loops Pixelfly::Forward/Backward ran before they were
+// routed through the GEMM core, kept verbatim as the bit-exact reference.
+struct LoopReference {
+  const PixelflyConfig& cfg;
+  const std::vector<BlockCoord>& pattern;
+  std::span<const float> blocks, u, v;
+
+  void Forward(const Matrix& x, Matrix& y, Matrix& t) const {
+    const std::size_t n = cfg.n, b = cfg.block_size, r = cfg.low_rank;
+    const std::size_t batch = x.rows(), b2 = b * b;
+    if (cfg.residual) {
+      y = x;
+    } else {
+      y = Matrix(batch, n);
+    }
+    for (std::size_t row = 0; row < batch; ++row) {
+      const float* xr = x.data() + row * n;
+      float* yr = y.data() + row * n;
+      for (std::size_t q = 0; q < pattern.size(); ++q) {
+        const float* w = blocks.data() + q * b2;
+        const float* xb = xr + pattern[q].bj * b;
+        float* yb = yr + pattern[q].bi * b;
+        for (std::size_t i = 0; i < b; ++i) {
+          float acc = 0.0f;
+          const float* wrow = w + i * b;
+          for (std::size_t p = 0; p < b; ++p) acc += wrow[p] * xb[p];
+          yb[i] += acc;
+        }
+      }
+    }
+    t = Matrix(batch, std::max<std::size_t>(r, 1));
+    if (r == 0) return;
+    for (std::size_t row = 0; row < batch; ++row) {
+      const float* xr = x.data() + row * n;
+      float* tr = t.data() + row * t.cols();
+      for (std::size_t i = 0; i < n; ++i) {
+        const float xv = xr[i];
+        if (xv == 0.0f) continue;
+        const float* vrow = v.data() + i * r;
+        for (std::size_t j = 0; j < r; ++j) tr[j] += xv * vrow[j];
+      }
+      float* yr = y.data() + row * n;
+      for (std::size_t i = 0; i < n; ++i) {
+        const float* urow = u.data() + i * r;
+        float acc = 0.0f;
+        for (std::size_t j = 0; j < r; ++j) acc += urow[j] * tr[j];
+        yr[i] += acc;
+      }
+    }
+  }
+
+  void Backward(const Matrix& x, const Matrix& t, const Matrix& dy, Matrix& dx,
+                std::vector<float>& gblocks, std::vector<float>& gu,
+                std::vector<float>& gv) const {
+    const std::size_t n = cfg.n, b = cfg.block_size, r = cfg.low_rank;
+    const std::size_t batch = dy.rows(), b2 = b * b;
+    dx = cfg.residual ? dy : Matrix(batch, n);
+    for (std::size_t row = 0; row < batch; ++row) {
+      const float* xr = x.data() + row * n;
+      const float* gy = dy.data() + row * n;
+      float* gx = dx.data() + row * n;
+      for (std::size_t q = 0; q < pattern.size(); ++q) {
+        const float* w = blocks.data() + q * b2;
+        float* gw = gblocks.data() + q * b2;
+        const float* xb = xr + pattern[q].bj * b;
+        const float* gyb = gy + pattern[q].bi * b;
+        float* gxb = gx + pattern[q].bj * b;
+        for (std::size_t i = 0; i < b; ++i) {
+          const float g = gyb[i];
+          if (g == 0.0f) continue;
+          const float* wrow = w + i * b;
+          float* gwrow = gw + i * b;
+          for (std::size_t p = 0; p < b; ++p) {
+            gwrow[p] += g * xb[p];
+            gxb[p] += wrow[p] * g;
+          }
+        }
+      }
+      if (r == 0) continue;
+      const float* tr = t.data() + row * t.cols();
+      std::vector<float> dt(r, 0.0f);
+      for (std::size_t i = 0; i < n; ++i) {
+        const float g = gy[i];
+        if (g == 0.0f) continue;
+        const float* urow = u.data() + i * r;
+        float* gurow = gu.data() + i * r;
+        for (std::size_t j = 0; j < r; ++j) {
+          dt[j] += urow[j] * g;
+          gurow[j] += g * tr[j];
+        }
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        const float xv = xr[i];
+        const float* vrow = v.data() + i * r;
+        float* gvrow = gv.data() + i * r;
+        float acc = 0.0f;
+        for (std::size_t j = 0; j < r; ++j) {
+          gvrow[j] += xv * dt[j];
+          acc += vrow[j] * dt[j];
+        }
+        gx[i] += acc;
+      }
+    }
+  }
+};
+
+bool SameBits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// ReLU-like activations: roughly half the entries are exact (+0) zeros,
+// the case the reference loops skip.
+Matrix HalfZeros(std::size_t rows, std::size_t cols, Rng& rng) {
+  Matrix m = Matrix::RandomNormal(rows, cols, rng);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = std::max(m.data()[i], 0.0f);
+  }
+  return m;
+}
+
+class PixelflyBits
+    : public ::testing::TestWithParam<std::tuple<bool, std::size_t>> {};
+
+TEST_P(PixelflyBits, ForwardBackwardMatchLoopReference) {
+  const auto [residual, rank] = GetParam();
+  PixelflyConfig cfg;  // Table 4 shape: n=1024, b=16, s=64
+  cfg.residual = residual;
+  cfg.low_rank = rank;
+  Rng rng(31 + rank);
+  Pixelfly pf(cfg, rng);
+  // Nonzero starting gradients, so accumulation into them is exercised.
+  for (std::span<float> g : {pf.blockGrads(), pf.uGrads(), pf.vGrads()}) {
+    rng.FillNormal(g.data(), g.size(), 0.1f);
+  }
+  std::vector<float> gblocks(pf.blockGrads().begin(), pf.blockGrads().end());
+  std::vector<float> gu(pf.uGrads().begin(), pf.uGrads().end());
+  std::vector<float> gv(pf.vGrads().begin(), pf.vGrads().end());
+  const LoopReference ref{cfg, pf.pattern(), pf.blockParams(), pf.uParams(),
+                          pf.vParams()};
+
+  const std::size_t batch = 50;
+  const Matrix x = HalfZeros(batch, cfg.n, rng);
+  const Matrix dy = HalfZeros(batch, cfg.n, rng);
+  Matrix y(batch, cfg.n), y_ref, t_ref;
+  Pixelfly::Workspace ws;
+  pf.Forward(x, y, &ws);
+  ref.Forward(x, y_ref, t_ref);
+  EXPECT_TRUE(SameBits(y.flat(), y_ref.flat()));
+  EXPECT_TRUE(SameBits(ws.t.flat(), t_ref.flat()));
+
+  Matrix dx, dx_ref;
+  pf.Backward(ws, dy, dx);
+  ref.Backward(x, t_ref, dy, dx_ref, gblocks, gu, gv);
+  EXPECT_TRUE(SameBits(dx.flat(), dx_ref.flat()));
+  EXPECT_TRUE(SameBits(pf.blockGrads(), gblocks));
+  EXPECT_TRUE(SameBits(pf.uGrads(), gu));
+  EXPECT_TRUE(SameBits(pf.vGrads(), gv));
+}
+
+INSTANTIATE_TEST_SUITE_P(ResidualAndRank, PixelflyBits,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Values(0u, 96u)));
 
 }  // namespace
 }  // namespace repro::core
