@@ -2,8 +2,9 @@
 //
 // Part 1 (host kernels): the numeric substrate the training experiments run
 // on -- the Table 4 dense step through the GEMM core and through GemmNaive,
-// SpMM, butterfly/pixelfly forwards, FWHT, FFT, circular convolution --
-// timed with a plain steady_clock loop. --require-host-speedup F exits 1
+// SpMM, butterfly/pixelfly forwards, FWHT, FFT, circular convolution, a
+// butterfly and a circulant layer training step, and the AmpGemm vertex
+// arithmetic -- timed with a plain steady_clock loop. --require-host-speedup F exits 1
 // unless the core runs the dense step at least F times faster than
 // GemmNaive.
 //
@@ -34,9 +35,11 @@
 #include "core/fwht.h"
 #include "core/pixelfly.h"
 #include "ipusim/arch.h"
+#include "ipusim/codelet.h"
 #include "ipusim/session.h"
 #include "linalg/gemm.h"
 #include "linalg/spmm.h"
+#include "nn/structured.h"
 #include "util/cli.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -175,9 +178,10 @@ double RunHostKernels(BenchJsonWriter& json, bool fast) {
     Rng rng(7);
     std::vector<core::Cpx> v(n);
     for (auto& c : v) c = core::Cpx(rng.Normal(), rng.Normal());
+    const core::FftPlan plan(n);
     TimeKernel(json, t, "fft", n, 16 * scale,
                n * static_cast<std::size_t>(std::log2(n)),
-               [&] { core::Fft(v); });
+               [&] { plan.Transform(v); });
   }
   {
     const std::size_t n = 1024;
@@ -187,6 +191,45 @@ double RunHostKernels(BenchJsonWriter& json, bool fast) {
     rng.FillNormal(x.data(), n, 1.0f);
     TimeKernel(json, t, "circular_convolve", n, 8 * scale, n,
                [&] { core::CircularConvolve(c, x, out); });
+  }
+  // One Table 4 training step (forward keeping activations, then backward)
+  // of the butterfly (Givens) and the circulant layer at batch 50, n 1024;
+  // items are samples.
+  {
+    const std::size_t n = 1024, batch = 50;
+    Rng rng(9);
+    core::Butterfly bf(n, core::ButterflyParam::kGivens, true, rng);
+    core::Butterfly::Workspace ws;
+    const Matrix x = Matrix::RandomNormal(batch, n, rng);
+    const Matrix dy = Matrix::RandomNormal(batch, n, rng);
+    Matrix y(batch, n), dx;
+    TimeKernel(json, t, "butterfly_step", n, 8 * scale, batch, [&] {
+      bf.Forward(x, y, &ws);
+      bf.Backward(ws, dy, dx);
+    });
+  }
+  {
+    const std::size_t n = 1024, batch = 50;
+    Rng rng(10);
+    nn::CirculantLayer layer(n, rng);
+    const Matrix x = Matrix::RandomNormal(batch, n, rng);
+    const Matrix dy = Matrix::RandomNormal(batch, n, rng);
+    Matrix y, dx;
+    TimeKernel(json, t, "circulant_step", n, 4 * scale, batch, [&] {
+      layer.Forward(x, y, /*train=*/true);
+      layer.Backward(dy, dx);
+    });
+  }
+  // The AmpGemm vertex arithmetic at the serving shape: a 16-row weight
+  // block times a 256 x 32 activation chunk; items are flops.
+  {
+    const std::size_t m = 16, k = 256, n = 32;
+    Rng rng(11);
+    std::vector<float> a(m * k), b(k * n), out(m * n);
+    rng.FillNormal(a.data(), a.size(), 1.0f);
+    rng.FillNormal(b.data(), b.size(), 1.0f);
+    TimeKernel(json, t, "amp_gemm_vertex", k, 2000 * scale, 2 * m * k * n,
+               [&] { ipu::GemmCore(m, k, n, false, a, b, out); });
   }
   t.Print();
   std::printf("\ndense step (batch 50, n 1024): GEMM core %.2fx GemmNaive\n",

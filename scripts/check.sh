@@ -27,10 +27,11 @@
 #   6. specialized vs generic dispatch: bench JSON and (compile-span-filtered)
 #      traces byte-identical with specialize_kernels on vs --no-specialize,
 #      and bench_kernels --require-speedup 3 gates the throughput claim;
-#   7. host training numerics: bench_table4_shl --fast --json must be
-#      byte-identical to scripts/golden/bench_table4_shl_fast.json at 1 and
-#      4 host threads, and bench_kernels --require-host-speedup 1.5 gates
-#      the GEMM core's dense-step speedup over GemmNaive;
+#   7. host training numerics: bench_table4_shl --fast --json and
+#      bench_table5_sweep --fast --json must be byte-identical to their
+#      goldens in scripts/golden/ at 1 and 4 host threads, and
+#      bench_kernels --require-host-speedup 1.5 gates the GEMM core's
+#      dense-step speedup over GemmNaive;
 #   8. AddressSanitizer build of the concurrency-heavy tests (test_serve,
 #      test_session, test_obs, test_kernels) in a side build dir.
 #
@@ -361,6 +362,17 @@ for threads in 1 4; do
     diff "$t4_json" "$repo_root/scripts/golden/bench_table4_shl_fast.json" | head -10
     exit 1
   fi
+  # The Table 5 pixelfly sweep trains through the same host kernels; its
+  # golden was captured with exactly this command before the structured
+  # kernels (FFT plan, butterfly coefficients, codelet GEMM tile) changed.
+  t5_json="$tmp_dir/table5_fast_t$threads.json"
+  REPRO_THREADS=$threads "$build_dir/bench/bench_table5_sweep" --fast \
+    --json "$t5_json" > "$tmp_dir/table5_fast_t$threads.log"
+  if ! cmp -s "$t5_json" "$repo_root/scripts/golden/bench_table5_sweep_fast.json"; then
+    echo "FAIL: bench_table5_sweep --fast bits differ from the golden at $threads threads"
+    diff "$t5_json" "$repo_root/scripts/golden/bench_table5_sweep_fast.json" | head -10
+    exit 1
+  fi
 done
 # The throughput claim, machine-checked in-process: the Table 4 dense step
 # (forward, dW, dX at batch 50, n 1024) through the core must clear 1.5x
@@ -372,7 +384,7 @@ if ! REPRO_THREADS=1 "$build_dir/bench/bench_kernels" --fast \
   exit 1
 fi
 grep 'dense step' "$tmp_dir/host_gemm_gate.log" || true
-echo "ok: table4 training bits match the golden at 1 and 4 threads; core >= 1.5x naive"
+echo "ok: table4/table5 training bits match the goldens at 1 and 4 threads; core >= 1.5x naive"
 
 echo "== asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable) =="
 asan_dir="$build_dir-asan"

@@ -1,17 +1,12 @@
 #include "core/butterfly.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/bitops.h"
 #include "util/error.h"
 
 namespace repro::core {
-namespace {
-
-// Pair index for (factor stride s, block base, offset i): pairs are numbered
-// contiguously in traversal order, which both apply and grad loops share.
-}  // namespace
-
 Butterfly::Butterfly(std::size_t n, ButterflyParam param, bool with_permutation,
                      Rng& rng)
     : n_(n), num_factors_(Log2(n)), param_(param) {
@@ -50,39 +45,38 @@ std::size_t Butterfly::paramsPerFactor() const {
   return param_ == ButterflyParam::kGivens ? n_ / 2 : 2 * n_;
 }
 
-void Butterfly::blockCoeffs(std::size_t f, std::size_t p, float& a, float& b,
-                            float& c, float& d) const {
-  if (param_ == ButterflyParam::kGivens) {
-    const float theta = params_[f * paramsPerFactor() + p];
-    const float ct = std::cos(theta);
-    const float st = std::sin(theta);
-    a = ct;
-    b = -st;
-    c = st;
-    d = ct;
-  } else {
-    const float* w = params_.data() + f * paramsPerFactor() + 4 * p;
-    a = w[0];
-    b = w[1];
-    c = w[2];
-    d = w[3];
+std::vector<float> Butterfly::FactorCoeffs(std::size_t f) const {
+  REPRO_REQUIRE(f < num_factors_, "factor %zu out of %zu", f, num_factors_);
+  const std::size_t pairs = n_ / 2;
+  const float* params = params_.data() + f * paramsPerFactor();
+  if (param_ == ButterflyParam::kDense2x2) {
+    return std::vector<float>(params, params + 4 * pairs);
   }
+  std::vector<float> w(4 * pairs);
+  for (std::size_t p = 0; p < pairs; ++p) {
+    const float ct = std::cos(params[p]);
+    const float st = std::sin(params[p]);
+    w[4 * p + 0] = ct;
+    w[4 * p + 1] = -st;
+    w[4 * p + 2] = st;
+    w[4 * p + 3] = ct;
+  }
+  return w;
 }
 
-void Butterfly::applyFactor(std::size_t f, const Matrix& in, Matrix& out) const {
+void Butterfly::applyFactor(std::size_t f, std::span<const float> w,
+                            const Matrix& in, Matrix& out) const {
   const std::size_t stride = std::size_t{1} << f;
   for (std::size_t r = 0; r < in.rows(); ++r) {
     const float* src = in.data() + r * n_;
     float* dst = out.data() + r * n_;
-    std::size_t p = 0;
+    const float* wp = w.data();
     for (std::size_t base = 0; base < n_; base += 2 * stride) {
-      for (std::size_t i = 0; i < stride; ++i, ++p) {
-        float a, b, c, d;
-        blockCoeffs(f, p, a, b, c, d);
+      for (std::size_t i = 0; i < stride; ++i, wp += 4) {
         const float top = src[base + i];
         const float bot = src[base + stride + i];
-        dst[base + i] = a * top + b * bot;
-        dst[base + stride + i] = c * top + d * bot;
+        dst[base + i] = wp[0] * top + wp[1] * bot;
+        dst[base + stride + i] = wp[2] * top + wp[3] * bot;
       }
     }
   }
@@ -92,35 +86,41 @@ void Butterfly::Forward(const Matrix& x, Matrix& y, Workspace* ws) const {
   REPRO_REQUIRE(x.cols() == n_ && y.rows() == x.rows() && y.cols() == n_,
                 "butterfly forward shape mismatch (%zux%zu, n=%zu)", x.rows(),
                 x.cols(), n_);
-  Matrix cur(x.rows(), n_);
+  const std::size_t batch = x.rows();
+  // Factor f reads stage f and writes stage f + 1; the last stage is y.
+  // Training keeps stages 0..F-1 in ws->acts for Backward, inference
+  // ping-pongs between two scratch matrices.
+  Workspace scratch;
+  std::vector<Matrix>& acts = ws != nullptr ? ws->acts : scratch.acts;
+  const std::size_t kept = ws != nullptr ? num_factors_ : 2;
+  acts.resize(kept);
+  for (Matrix& a : acts) {
+    if (a.rows() != batch || a.cols() != n_) a = Matrix(batch, n_);
+  }
   if (perm_.size() == n_) {
-    perm_.ApplyToColumns(x, cur);
+    perm_.ApplyToColumns(x, acts[0]);
   } else {
-    cur = x;
+    std::copy(x.data(), x.data() + x.size(), acts[0].data());
   }
-  if (ws != nullptr) {
-    ws->acts.clear();
-    ws->acts.reserve(num_factors_ + 1);
-    ws->acts.push_back(cur);
-  }
-  Matrix next(x.rows(), n_);
   for (std::size_t f = 0; f < num_factors_; ++f) {
-    applyFactor(f, cur, next);
-    std::swap(cur, next);
-    if (ws != nullptr && f + 1 < num_factors_) ws->acts.push_back(cur);
+    Matrix& out = f + 1 == num_factors_ ? y : acts[(f + 1) % kept];
+    applyFactor(f, FactorCoeffs(f), acts[f % kept], out);
   }
-  y = std::move(cur);
 }
 
 void Butterfly::Backward(const Workspace& ws, const Matrix& dy, Matrix& dx) {
   REPRO_REQUIRE(ws.acts.size() == num_factors_, "stale butterfly workspace");
   REPRO_REQUIRE(dy.cols() == n_, "butterfly backward shape mismatch");
   const std::size_t batch = dy.rows();
+  REPRO_REQUIRE(ws.acts[0].rows() == batch,
+                "butterfly backward batch %zu but workspace holds %zu rows",
+                batch, ws.acts[0].rows());
   Matrix grad = dy;       // gradient flowing backwards through factors
   Matrix prev(batch, n_);  // gradient w.r.t. factor input
   for (std::size_t fi = num_factors_; fi-- > 0;) {
     const Matrix& input = ws.acts[fi];  // input to factor fi
     const std::size_t stride = std::size_t{1} << fi;
+    const std::vector<float> w = FactorCoeffs(fi);
     float* g = grads_.data() + fi * paramsPerFactor();
     for (std::size_t r = 0; r < batch; ++r) {
       const float* gy = grad.data() + r * n_;
@@ -129,8 +129,8 @@ void Butterfly::Backward(const Workspace& ws, const Matrix& dy, Matrix& dx) {
       std::size_t p = 0;
       for (std::size_t base = 0; base < n_; base += 2 * stride) {
         for (std::size_t i = 0; i < stride; ++i, ++p) {
-          float a, b, c, d;
-          blockCoeffs(fi, p, a, b, c, d);
+          const float a = w[4 * p + 0], b = w[4 * p + 1];
+          const float c = w[4 * p + 2], d = w[4 * p + 3];
           const float top = xin[base + i];
           const float bot = xin[base + stride + i];
           const float gt = gy[base + i];
@@ -139,11 +139,8 @@ void Butterfly::Backward(const Workspace& ws, const Matrix& dy, Matrix& dx) {
           gx[base + i] = a * gt + c * gb;
           gx[base + stride + i] = b * gt + d * gb;
           if (param_ == ButterflyParam::kGivens) {
-            // d/dtheta [c -s; s c] = [-s -c; c -s]
-            const float theta = params_[fi * paramsPerFactor() + p];
-            const float ct = std::cos(theta);
-            const float st = std::sin(theta);
-            g[p] += gt * (-st * top - ct * bot) + gb * (ct * top - st * bot);
+            // d/dtheta [c -s; s c] = [-s -c; c -s], with cos = a, sin = c.
+            g[p] += gt * (-c * top - a * bot) + gb * (a * top - c * bot);
           } else {
             g[4 * p + 0] += gt * top;
             g[4 * p + 1] += gt * bot;
@@ -166,15 +163,6 @@ void Butterfly::Backward(const Workspace& ws, const Matrix& dy, Matrix& dx) {
   } else {
     dx = std::move(grad);
   }
-}
-
-std::vector<float> Butterfly::FactorCoeffs(std::size_t f) const {
-  REPRO_REQUIRE(f < num_factors_, "factor %zu out of %zu", f, num_factors_);
-  std::vector<float> w(4 * (n_ / 2));
-  for (std::size_t p = 0; p < n_ / 2; ++p) {
-    blockCoeffs(f, p, w[4 * p + 0], w[4 * p + 1], w[4 * p + 2], w[4 * p + 3]);
-  }
-  return w;
 }
 
 Matrix Butterfly::ToDense() const {

@@ -35,7 +35,8 @@ class Butterfly {
   ButterflyParam param() const { return param_; }
   std::size_t paramCount() const { return params_.size(); }
 
-  // Records the per-factor inputs needed by Backward.
+  // Records the per-factor inputs needed by Backward; Forward reuses its
+  // matrices while the batch size holds.
   struct Workspace {
     std::vector<Matrix> acts;  // acts[0] = permuted input, acts[f+1] = after factor f
   };
@@ -67,10 +68,9 @@ class Butterfly {
   void zeroGrad();
 
  private:
-  // Expands factor f's parameters into (a, b, c, d) for pair p.
-  void blockCoeffs(std::size_t f, std::size_t p, float& a, float& b, float& c,
-                   float& d) const;
-  void applyFactor(std::size_t f, const Matrix& in, Matrix& out) const;
+  // Applies factor f, whose coefficients FactorCoeffs(f) expanded into w.
+  void applyFactor(std::size_t f, std::span<const float> w, const Matrix& in,
+                   Matrix& out) const;
   std::size_t paramsPerFactor() const;
 
   std::size_t n_ = 0;

@@ -1,39 +1,87 @@
 #include "core/fft.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "util/bitops.h"
 #include "util/error.h"
 
 namespace repro::core {
 
-void Fft(std::span<Cpx> v, bool inverse) {
-  const std::size_t n = v.size();
+namespace {
+
+// One complex<double> as an SSE-width vector-extension value (re, im).
+typedef double Pair __attribute__((vector_size(16)));
+static_assert(sizeof(Pair) == sizeof(Cpx));
+
+Pair LoadPair(const void* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void StorePair(void* p, Pair v) { std::memcpy(p, &v, sizeof v); }
+
+}  // namespace
+
+FftPlan::FftPlan(std::size_t n) : n_(n) {
   REPRO_REQUIRE(IsPow2(n), "FFT needs power-of-two length, got %zu", n);
   const unsigned bits = Log2(n);
-  // Bit-reversal permutation.
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = BitReverse(static_cast<std::uint32_t>(i), bits);
-    if (i < j) std::swap(v[i], v[j]);
+    const std::uint32_t j = BitReverse(static_cast<std::uint32_t>(i), bits);
+    if (i < j) swaps_.emplace_back(static_cast<std::uint32_t>(i), j);
   }
-  const double sign = inverse ? 1.0 : -1.0;
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle = sign * 2.0 * M_PI / static_cast<double>(len);
-    const Cpx wlen(std::cos(angle), std::sin(angle));
-    for (std::size_t base = 0; base < n; base += len) {
+  for (const bool inverse : {false, true}) {
+    std::vector<double>& tw = inverse ? inv_ : fwd_;
+    tw.reserve(4 * (n - 1));
+    const double sign = inverse ? 1.0 : -1.0;
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+      const double angle = sign * 2.0 * M_PI / static_cast<double>(len);
+      const Cpx wlen(std::cos(angle), std::sin(angle));
       Cpx w(1.0, 0.0);
       for (std::size_t i = 0; i < len / 2; ++i) {
-        const Cpx u = v[base + i];
-        const Cpx t = w * v[base + i + len / 2];
-        v[base + i] = u + t;
-        v[base + i + len / 2] = u - t;
+        tw.insert(tw.end(), {w.real(), w.real(), -w.imag(), w.imag()});
         w *= wlen;
       }
     }
   }
-  if (inverse) {
-    for (auto& x : v) x /= static_cast<double>(n);
+}
+
+void FftPlan::Transform(std::span<Cpx> v, bool inverse) const {
+  REPRO_REQUIRE(v.size() == n_, "FFT plan of length %zu given %zu values", n_,
+                v.size());
+  for (const auto& [i, j] : swaps_) std::swap(v[i], v[j]);
+  const std::vector<double>& tw = inverse ? inv_ : fwd_;
+  for (std::size_t len = 2; len <= n_; len <<= 1) {
+    const std::size_t half = len / 2;
+    const double* stage = tw.data() + 4 * (half - 1);
+    for (std::size_t base = 0; base < n_; base += len) {
+      Cpx* top = v.data() + base;
+      Cpx* bot = top + half;
+      for (std::size_t i = 0; i < half; ++i) {
+        // t = w * bot[i] as (wr*br - wi*bi, wr*bi + wi*br): the operations,
+        // in order, of std::complex's multiply, which recomputes the rare
+        // both-parts-NaN result through __muldc3.
+        const double* w = stage + 4 * i;
+        const Pair b = LoadPair(bot + i);
+        Pair t = LoadPair(w) * b + LoadPair(w + 2) * Pair{b[1], b[0]};
+        if (std::isnan(t[0]) && std::isnan(t[1])) [[unlikely]] {
+          const Cpx exact = Cpx(w[0], w[3]) * bot[i];
+          t = Pair{exact.real(), exact.imag()};
+        }
+        const Pair u = LoadPair(top + i);
+        StorePair(top + i, u + t);
+        StorePair(bot + i, u - t);
+      }
+    }
   }
+  if (inverse) {
+    for (auto& x : v) x /= static_cast<double>(n_);
+  }
+}
+
+void Fft(std::span<Cpx> v, bool inverse) {
+  FftPlan(v.size()).Transform(v, inverse);
 }
 
 std::vector<Cpx> DftNaive(std::span<const Cpx> v, bool inverse) {
@@ -107,33 +155,73 @@ std::vector<Cpx> ComplexButterfly::Apply(std::span<const Cpx> x) const {
   return v;
 }
 
+CircularPlan::CircularPlan(std::size_t n) : n_(n) {
+  if (IsPow2(n) && n >= 32) fft_.emplace(n);
+}
+
+void CircularPlan::Prepare(std::span<const float> x,
+                           std::span<Cpx> out) const {
+  REPRO_REQUIRE(x.size() == n_ && out.size() == n_,
+                "circular prepare size mismatch");
+  for (std::size_t i = 0; i < n_; ++i) out[i] = Cpx(x[i], 0.0);
+  if (fft_) fft_->Transform(out);
+}
+
+void CircularPlan::Convolve(std::span<const Cpx> c, std::span<const Cpx> x,
+                            std::span<Cpx> work, std::span<float> out) const {
+  REPRO_REQUIRE(c.size() == n_ && x.size() == n_ && work.size() == n_ &&
+                    out.size() == n_,
+                "circular convolve size mismatch");
+  if (fft_) {
+    for (std::size_t i = 0; i < n_; ++i) work[i] = c[i] * x[i];
+    fft_->Transform(work, /*inverse=*/true);
+    for (std::size_t i = 0; i < n_; ++i) {
+      out[i] = static_cast<float>(work[i].real());
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < n_; ++i) {
+    double acc = 0.0;
+    for (std::size_t j = 0; j < n_; ++j) {
+      acc += c[j].real() * x[(i + n_ - j) % n_].real();
+    }
+    out[i] = static_cast<float>(acc);
+  }
+}
+
+void CircularPlan::Correlate(std::span<const Cpx> x, std::span<const Cpx> y,
+                             std::span<Cpx> work, std::span<float> out) const {
+  REPRO_REQUIRE(x.size() == n_ && y.size() == n_ && work.size() == n_ &&
+                    out.size() == n_,
+                "circular correlate size mismatch");
+  if (fft_) {
+    // out = IFFT(conj(FFT(x)) * FFT(y))
+    for (std::size_t i = 0; i < n_; ++i) work[i] = std::conj(x[i]) * y[i];
+    fft_->Transform(work, /*inverse=*/true);
+    for (std::size_t i = 0; i < n_; ++i) {
+      out[i] = static_cast<float>(work[i].real());
+    }
+    return;
+  }
+  for (std::size_t j = 0; j < n_; ++j) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n_; ++i) {
+      acc += x[i].real() * y[(i + j) % n_].real();
+    }
+    out[j] = static_cast<float>(acc);
+  }
+}
+
 void CircularConvolve(std::span<const float> c, std::span<const float> x,
                       std::span<float> out) {
   const std::size_t n = c.size();
   REPRO_REQUIRE(x.size() == n && out.size() == n,
                 "circular convolve size mismatch");
-  if (IsPow2(n) && n >= 32) {
-    std::vector<Cpx> fc(n), fx(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      fc[i] = Cpx(c[i], 0.0);
-      fx[i] = Cpx(x[i], 0.0);
-    }
-    Fft(fc);
-    Fft(fx);
-    for (std::size_t i = 0; i < n; ++i) fc[i] *= fx[i];
-    Fft(fc, /*inverse=*/true);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = static_cast<float>(fc[i].real());
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      acc += static_cast<double>(c[j]) * x[(i + n - j) % n];
-    }
-    out[i] = static_cast<float>(acc);
-  }
+  const CircularPlan plan(n);
+  std::vector<Cpx> fc(n), fx(n), work(n);
+  plan.Prepare(c, fc);
+  plan.Prepare(x, fx);
+  plan.Convolve(fc, fx, work, out);
 }
 
 void CircularCorrelate(std::span<const float> x, std::span<const float> y,
@@ -141,29 +229,11 @@ void CircularCorrelate(std::span<const float> x, std::span<const float> y,
   const std::size_t n = x.size();
   REPRO_REQUIRE(y.size() == n && out.size() == n,
                 "circular correlate size mismatch");
-  if (IsPow2(n) && n >= 32) {
-    // out = IFFT(conj(FFT(x)) * FFT(y))
-    std::vector<Cpx> fx(n), fy(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      fx[i] = Cpx(x[i], 0.0);
-      fy[i] = Cpx(y[i], 0.0);
-    }
-    Fft(fx);
-    Fft(fy);
-    for (std::size_t i = 0; i < n; ++i) fx[i] = std::conj(fx[i]) * fy[i];
-    Fft(fx, /*inverse=*/true);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = static_cast<float>(fx[i].real());
-    }
-    return;
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += static_cast<double>(x[i]) * y[(i + j) % n];
-    }
-    out[j] = static_cast<float>(acc);
-  }
+  const CircularPlan plan(n);
+  std::vector<Cpx> fx(n), fy(n), work(n);
+  plan.Prepare(x, fx);
+  plan.Prepare(y, fy);
+  plan.Correlate(fx, fy, work, out);
 }
 
 }  // namespace repro::core

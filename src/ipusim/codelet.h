@@ -256,6 +256,15 @@ struct Codelet {
   std::function<void(const ResolvedArgs&)> batch_compute;
 };
 
+// The arithmetic of the ScalarGemm, AmpGemm and BlockGemmAmp codelets:
+// out(m x n) (+)= a(m x k) * b(k x n), all row-major, `out` overlapping
+// neither input. Each output starts from zero (from its value when
+// `accumulate`) and adds a(i,p) * b(p,j) in ascending p, skipping every p
+// with a(i,p) == 0, so its bits are those of the plain ikj loop.
+void GemmCore(std::size_t m, std::size_t k, std::size_t n, bool accumulate,
+              std::span<const float> a, std::span<const float> b,
+              std::span<float> out);
+
 // Global codelet registry; builtins are registered on first access.
 class CodeletRegistry {
  public:

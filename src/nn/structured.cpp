@@ -170,7 +170,7 @@ std::vector<ParamRef> FastfoodLayer::parameters() {
 // ---------------------------------------------------------------- Circulant
 
 CirculantLayer::CirculantLayer(std::size_t n, Rng& rng)
-    : BiasMixin(n), n_(n) {
+    : BiasMixin(n), n_(n), plan_(n) {
   c_.resize(n);
   c_grad_.assign(n, 0.0f);
   rng.FillNormal(c_.data(), n, 1.0f / std::sqrt(static_cast<float>(n)));
@@ -179,22 +179,33 @@ CirculantLayer::CirculantLayer(std::size_t n, Rng& rng)
 void CirculantLayer::Forward(const Matrix& x, Matrix& y, bool train) {
   REPRO_REQUIRE(x.cols() == n_, "Circulant forward dim mismatch");
   if (y.rows() != x.rows() || y.cols() != n_) y = Matrix(x.rows(), n_);
+  std::vector<core::Cpx> fc(n_), fx(n_), work(n_);
+  plan_.Prepare(c_, fc);
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    core::CircularConvolve(c_, x.row(r), y.row(r));
+    plan_.Prepare(x.row(r), fx);
+    plan_.Convolve(fc, fx, work, y.row(r));
   }
   addBias(y);
   if (train) x_cache_ = x;
 }
 
 void CirculantLayer::Backward(const Matrix& dy, Matrix& dx) {
+  REPRO_REQUIRE(dy.cols() == n_ && x_cache_.rows() == dy.rows() &&
+                    x_cache_.cols() == n_,
+                "Circulant backward dy %zux%zu but cached input %zux%zu",
+                dy.rows(), dy.cols(), x_cache_.rows(), x_cache_.cols());
   biasGrad(dy);
   if (dx.rows() != dy.rows() || dx.cols() != n_) dx = Matrix(dy.rows(), n_);
   std::vector<float> dc(n_);
+  std::vector<core::Cpx> fc(n_), fx(n_), fdy(n_), work(n_);
+  plan_.Prepare(c_, fc);
   for (std::size_t r = 0; r < dy.rows(); ++r) {
     // dc[j] = sum_i dy[i] x[(i-j) mod n] ; dx[k] = sum_i dy[i] c[(i-k) mod n].
-    core::CircularCorrelate(x_cache_.row(r), dy.row(r), dc);
+    plan_.Prepare(x_cache_.row(r), fx);
+    plan_.Prepare(dy.row(r), fdy);
+    plan_.Correlate(fx, fdy, work, dc);
     for (std::size_t j = 0; j < n_; ++j) c_grad_[j] += dc[j];
-    core::CircularCorrelate(c_, dy.row(r), dx.row(r));
+    plan_.Correlate(fc, fdy, work, dx.row(r));
   }
 }
 

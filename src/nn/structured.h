@@ -101,6 +101,7 @@ class CirculantLayer : public Layer, private BiasMixin {
 
  private:
   std::size_t n_;
+  core::CircularPlan plan_;
   std::vector<float> c_, c_grad_;
   Matrix x_cache_;
 };

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <vector>
 
 #include "core/butterfly.h"
 #include "core/fwht.h"
@@ -250,6 +253,172 @@ TEST(Butterfly, DenseParamCountScalesNLogN) {
   for (std::size_t n : {8, 16, 32, 64, 128, 256}) {
     Butterfly bf(n, ButterflyParam::kDense2x2, true, rng);
     EXPECT_EQ(bf.paramCount(), 2 * n * Log2(n));
+  }
+}
+
+// Verbatim copy of the loops Butterfly ran before it expanded each factor's
+// coefficients once per call (trig per row for Givens, one copied matrix
+// per factor output), over a butterfly's parameters and permutation.
+struct ButterflyLoopReference {
+  std::size_t n;
+  ButterflyParam param;
+  const Permutation& perm;
+  std::span<const float> params;
+  std::vector<float> grads;
+
+  std::size_t numFactors() const { return Log2(n); }
+  std::size_t paramsPerFactor() const {
+    return param == ButterflyParam::kGivens ? n / 2 : 2 * n;
+  }
+  void blockCoeffs(std::size_t f, std::size_t p, float& a, float& b, float& c,
+                   float& d) const {
+    if (param == ButterflyParam::kGivens) {
+      const float theta = params[f * paramsPerFactor() + p];
+      const float ct = std::cos(theta);
+      const float st = std::sin(theta);
+      a = ct;
+      b = -st;
+      c = st;
+      d = ct;
+    } else {
+      const float* w = params.data() + f * paramsPerFactor() + 4 * p;
+      a = w[0];
+      b = w[1];
+      c = w[2];
+      d = w[3];
+    }
+  }
+  void applyFactor(std::size_t f, const Matrix& in, Matrix& out) const {
+    const std::size_t stride = std::size_t{1} << f;
+    for (std::size_t r = 0; r < in.rows(); ++r) {
+      const float* src = in.data() + r * n;
+      float* dst = out.data() + r * n;
+      std::size_t p = 0;
+      for (std::size_t base = 0; base < n; base += 2 * stride) {
+        for (std::size_t i = 0; i < stride; ++i, ++p) {
+          float a, b, c, d;
+          blockCoeffs(f, p, a, b, c, d);
+          const float top = src[base + i];
+          const float bot = src[base + stride + i];
+          dst[base + i] = a * top + b * bot;
+          dst[base + stride + i] = c * top + d * bot;
+        }
+      }
+    }
+  }
+  void Forward(const Matrix& x, Matrix& y, std::vector<Matrix>& acts) const {
+    Matrix cur(x.rows(), n);
+    if (perm.size() == n) {
+      perm.ApplyToColumns(x, cur);
+    } else {
+      cur = x;
+    }
+    acts.clear();
+    acts.push_back(cur);
+    Matrix next(x.rows(), n);
+    for (std::size_t f = 0; f < numFactors(); ++f) {
+      applyFactor(f, cur, next);
+      std::swap(cur, next);
+      if (f + 1 < numFactors()) acts.push_back(cur);
+    }
+    y = std::move(cur);
+  }
+  void Backward(const std::vector<Matrix>& acts, const Matrix& dy,
+                Matrix& dx) {
+    const std::size_t batch = dy.rows();
+    Matrix grad = dy;
+    Matrix prev(batch, n);
+    for (std::size_t fi = numFactors(); fi-- > 0;) {
+      const Matrix& input = acts[fi];
+      const std::size_t stride = std::size_t{1} << fi;
+      float* g = grads.data() + fi * paramsPerFactor();
+      for (std::size_t r = 0; r < batch; ++r) {
+        const float* gy = grad.data() + r * n;
+        const float* xin = input.data() + r * n;
+        float* gx = prev.data() + r * n;
+        std::size_t p = 0;
+        for (std::size_t base = 0; base < n; base += 2 * stride) {
+          for (std::size_t i = 0; i < stride; ++i, ++p) {
+            float a, b, c, d;
+            blockCoeffs(fi, p, a, b, c, d);
+            const float top = xin[base + i];
+            const float bot = xin[base + stride + i];
+            const float gt = gy[base + i];
+            const float gb = gy[base + stride + i];
+            gx[base + i] = a * gt + c * gb;
+            gx[base + stride + i] = b * gt + d * gb;
+            if (param == ButterflyParam::kGivens) {
+              const float theta = params[fi * paramsPerFactor() + p];
+              const float ct = std::cos(theta);
+              const float st = std::sin(theta);
+              g[p] += gt * (-st * top - ct * bot) + gb * (ct * top - st * bot);
+            } else {
+              g[4 * p + 0] += gt * top;
+              g[4 * p + 1] += gt * bot;
+              g[4 * p + 2] += gb * top;
+              g[4 * p + 3] += gb * bot;
+            }
+          }
+        }
+      }
+      std::swap(grad, prev);
+    }
+    if (perm.size() == n) {
+      dx = Matrix(batch, n);
+      for (std::size_t r = 0; r < batch; ++r) {
+        const float* src = grad.data() + r * n;
+        float* dst = dx.data() + r * n;
+        for (std::size_t i = 0; i < n; ++i) dst[perm[i]] = src[i];
+      }
+    } else {
+      dx = std::move(grad);
+    }
+  }
+};
+
+bool SameBits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(ButterflyBits, ForwardBackwardMatchLoopReference) {
+  for (const ButterflyParam param :
+       {ButterflyParam::kGivens, ButterflyParam::kDense2x2}) {
+    for (const bool with_perm : {false, true}) {
+      for (const std::size_t n : {2, 64, 1024}) {
+        SCOPED_TRACE(testing::Message()
+                     << "givens=" << (param == ButterflyParam::kGivens)
+                     << " perm=" << with_perm << " n=" << n);
+        Rng rng(n + with_perm);
+        Butterfly bf(n, param, with_perm, rng);
+        ButterflyLoopReference ref{n, param, bf.permutation(), bf.params(),
+                                   std::vector<float>(bf.paramCount(), 0.0f)};
+        // Two steps with different batch sizes: the workspace is resized,
+        // and gradients accumulate across Backward calls.
+        Butterfly::Workspace ws;
+        for (const std::size_t batch : {7, 3}) {
+          const Matrix x = Matrix::RandomNormal(batch, n, rng);
+          const Matrix dy = Matrix::RandomNormal(batch, n, rng);
+          Matrix y(batch, n), dx, want_y, want_dx;
+          std::vector<Matrix> want_acts;
+          bf.Forward(x, y, &ws);
+          ref.Forward(x, want_y, want_acts);
+          ASSERT_TRUE(SameBits(y.flat(), want_y.flat()));
+          ASSERT_EQ(ws.acts.size(), want_acts.size());
+          for (std::size_t f = 0; f < ws.acts.size(); ++f) {
+            ASSERT_TRUE(SameBits(ws.acts[f].flat(), want_acts[f].flat()));
+          }
+          bf.Backward(ws, dy, dx);
+          ref.Backward(want_acts, dy, want_dx);
+          ASSERT_TRUE(SameBits(dx.flat(), want_dx.flat()));
+          ASSERT_TRUE(SameBits(bf.grads(), ref.grads));
+          // Inference (no workspace) gives the training output's bits.
+          Matrix y_infer(batch, n);
+          bf.Forward(x, y_infer);
+          ASSERT_TRUE(SameBits(y_infer.flat(), want_y.flat()));
+        }
+      }
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include "ipusim/session.h"
 #include "linalg/gemm.h"
 #include "linalg/spmm.h"
+#include "nn/structured.h"
 
 namespace repro {
 namespace {
@@ -152,6 +153,33 @@ TEST(FailureInjection, ButterflyStaleWorkspaceDies) {
   Matrix dy = Matrix::RandomNormal(2, 8, rng);
   Matrix dx(2, 8);
   EXPECT_DEATH(bf.Backward(ws, dy, dx), "stale");
+}
+
+TEST(FailureInjection, ButterflyShortWorkspaceDies) {
+  // A workspace from a smaller batch would be read past its end.
+  Rng rng(3);
+  core::Butterfly bf(8, core::ButterflyParam::kGivens, true, rng);
+  core::Butterfly::Workspace ws;
+  Matrix x = Matrix::RandomNormal(2, 8, rng);
+  Matrix y(2, 8);
+  bf.Forward(x, y, &ws);
+  Matrix dy = Matrix::RandomNormal(5, 8, rng);
+  Matrix dx;
+  EXPECT_DEATH(bf.Backward(ws, dy, dx), "workspace holds 2 rows");
+}
+
+TEST(FailureInjection, CirculantBackwardWithoutMatchingCacheDies) {
+  Rng rng(4);
+  nn::CirculantLayer layer(64, rng);
+  Matrix dy = Matrix::RandomNormal(3, 64, rng);
+  Matrix dx;
+  // No training forward yet: nothing cached.
+  EXPECT_DEATH(layer.Backward(dy, dx), "cached input 0x0");
+  // A cache from a smaller batch.
+  Matrix x = Matrix::RandomNormal(2, 64, rng);
+  Matrix y;
+  layer.Forward(x, y, /*train=*/true);
+  EXPECT_DEATH(layer.Backward(dy, dx), "cached input 2x64");
 }
 
 TEST(FailureInjection, StatusOrTakeOnErrorDies) {

@@ -7,9 +7,11 @@
 // damaged plans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -434,6 +436,61 @@ TEST(KernelParity, SparseRowsMac) { CheckParity(BuildSparseRows); }
 TEST(KernelParity, SparseCooMac) { CheckParity(BuildSparseCoo); }
 TEST(KernelParity, BlockGemmAmp) { CheckParity(BuildBlockGemmAmp); }
 TEST(KernelParity, MixedComputeSets) { CheckParity(BuildMixed); }
+
+// ---------------------------------------------------------------------------
+// GemmCore against the ikj loop it replaced, byte for byte.
+
+// Verbatim copy of the loop GemmCore ran before it was register-tiled (the
+// pixelfly BlockMacCore loop was the same with accumulate always on).
+void GemmCoreLoopReference(std::size_t m, std::size_t k, std::size_t n,
+                           bool accumulate, std::span<const float> a,
+                           std::span<const float> b, std::span<float> out) {
+  if (!accumulate) {
+    for (auto& o : out) o = 0.0f;
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t p = 0; p < k; ++p) {
+      const float av = a[i * k + p];
+      if (av == 0.0f) continue;
+      for (std::size_t j = 0; j < n; ++j) {
+        out[i * n + j] += av * b[p * n + j];
+      }
+    }
+  }
+}
+
+TEST(GemmCoreBits, MatchesLoopReference) {
+  Rng rng(2024);
+  for (const std::size_t m : {1, 3, 4, 5, 16}) {
+    for (const std::size_t n : {1, 7, 8, 31, 32, 33}) {
+      for (const std::size_t k : {1, 2, 13, 64, 256}) {
+        std::vector<float> a(m * k), b(k * n), init(m * n);
+        for (auto& v : a) v = static_cast<float>(rng.Normal());
+        for (auto& v : b) v = static_cast<float>(rng.Normal());
+        for (auto& v : init) v = static_cast<float>(rng.Normal());
+        // Exact zeros of both signs are skipped, so a zero weight facing an
+        // infinity adds no NaN and a -0 already in `out` stays -0.
+        for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
+        for (std::size_t i = 1; i < a.size(); i += 7) a[i] = -0.0f;
+        b[0] = std::numeric_limits<float>::infinity();
+        init[0] = -0.0f;
+        if (m > 1) {  // row 1: all weights zero, outputs -0
+          std::fill(a.begin() + k, a.begin() + 2 * k, 0.0f);
+          std::fill(init.begin() + n, init.begin() + 2 * n, -0.0f);
+        }
+        for (const bool accumulate : {false, true}) {
+          std::vector<float> got = init, want = init;
+          GemmCore(m, k, n, accumulate, a, b, got);
+          GemmCoreLoopReference(m, k, n, accumulate, a, b, want);
+          ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                                   got.size() * sizeof(float)))
+              << "m=" << m << " n=" << n << " k=" << k
+              << " accumulate=" << accumulate;
+        }
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // KernelPlan wire format.
