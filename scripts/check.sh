@@ -17,6 +17,8 @@
 #      JSON and per-substrate chip tracks in the trace); bench_cluster
 #      repeats the bitwise gate for its cluster metrics and trace, and
 #      --require-efficiency 0.75 gates 4-chip scaling >= 3x;
+#      the cluster and auto-mode metrics and traces are also held
+#      byte-identical to their goldens in scripts/golden/;
 #      bench_serving --require-stream-win 1.01 then gates the streaming
 #      host-I/O claim: the double-buffered ingress must beat the host-copy
 #      baseline on every method, with overlap visible in the trace;
@@ -32,8 +34,11 @@
 #      goldens in scripts/golden/ at 1 and 4 host threads, and
 #      bench_kernels --require-host-speedup 1.5 gates the GEMM core's
 #      dense-step speedup over GemmNaive;
-#   8. AddressSanitizer build of the concurrency-heavy tests (test_serve,
-#      test_session, test_obs, test_kernels) in a side build dir.
+#   8. AddressSanitizer build of the concurrency-heavy and serving tests
+#      (test_serve, test_session, test_obs, test_kernels, test_stream,
+#      test_executable, test_cluster, test_backend, and
+#      test_failure_injection with its serving-replay death tests) in a side
+#      build dir.
 #
 # Usage: scripts/check.sh [build-dir]      (default: build)
 set -euo pipefail
@@ -150,6 +155,16 @@ if ! REPRO_THREADS=1 "$build_dir/bench/bench_serving" --backend auto --fast \
   exit 1
 fi
 grep 'crossover gate' "$tmp_dir/serving_auto.log" || true
+# Byte identity with the goldens captured before Server and Router shared
+# one event loop, from exactly this command.
+if ! cmp -s "$auto_json" "$repo_root/scripts/golden/bench_serving_auto.json" \
+    || ! cmp -s "$auto_trace" \
+      "$repo_root/scripts/golden/bench_serving_auto_trace.json"; then
+  echo "FAIL: bench_serving --backend auto bytes differ from the golden"
+  diff "$auto_json" "$repo_root/scripts/golden/bench_serving_auto.json" \
+    | head -10
+  exit 1
+fi
 grep -o '"[A-Za-z_][A-Za-z_0-9]*":' "$auto_json" | sort -u \
   > "$tmp_dir/serving_auto.keys"
 if ! diff -u "$schema_dir/bench_serving_auto.keys" "$tmp_dir/serving_auto.keys"; then
@@ -229,8 +244,16 @@ if ! cmp -s "$ct1" "$ct2"; then
   echo "FAIL: bench_cluster trace differs across host thread counts"
   exit 1
 fi
+# ... and byte-identical to the goldens captured before Server and Router
+# shared one event loop, from exactly the t1 command.
+if ! cmp -s "$c1" "$repo_root/scripts/golden/bench_cluster_fast.json" \
+    || ! cmp -s "$ct1" "$repo_root/scripts/golden/bench_cluster_fast_trace.json"; then
+  echo "FAIL: bench_cluster bytes differ from the golden"
+  diff "$c1" "$repo_root/scripts/golden/bench_cluster_fast.json" | head -10
+  exit 1
+fi
 grep 'scaling efficiency' "$tmp_dir/cluster_t1.log" || true
-echo "ok: cluster metrics/trace bitwise-identical; 4-chip scaling >= 3x"
+echo "ok: cluster metrics/trace bitwise-identical and golden; 4-chip scaling >= 3x"
 
 echo "== executable artifact cache: cold vs warm byte-identity =="
 # The cold run compiles every plan and saves each ipu::Executable into
@@ -386,11 +409,12 @@ fi
 grep 'dense step' "$tmp_dir/host_gemm_gate.log" || true
 echo "ok: table4/table5 training bits match the goldens at 1 and 4 threads; core >= 1.5x naive"
 
-echo "== asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable) =="
+echo "== asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable + test_cluster + test_backend + test_failure_injection) =="
 asan_dir="$build_dir-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DREPRO_SANITIZE=address > /dev/null
 cmake --build "$asan_dir" -j --target test_serve test_session test_obs \
-  test_kernels test_stream test_executable
+  test_kernels test_stream test_executable test_cluster test_backend \
+  test_failure_injection
 "$asan_dir/tests/test_serve" > "$tmp_dir/asan_serve.log" \
   || { echo "FAIL: asan test_serve"; tail -40 "$tmp_dir/asan_serve.log"; exit 1; }
 "$asan_dir/tests/test_session" > "$tmp_dir/asan_session.log" \
@@ -403,6 +427,12 @@ cmake --build "$asan_dir" -j --target test_serve test_session test_obs \
   || { echo "FAIL: asan test_stream"; tail -40 "$tmp_dir/asan_stream.log"; exit 1; }
 "$asan_dir/tests/test_executable" > "$tmp_dir/asan_executable.log" \
   || { echo "FAIL: asan test_executable"; tail -40 "$tmp_dir/asan_executable.log"; exit 1; }
+"$asan_dir/tests/test_cluster" > "$tmp_dir/asan_cluster.log" \
+  || { echo "FAIL: asan test_cluster"; tail -40 "$tmp_dir/asan_cluster.log"; exit 1; }
+"$asan_dir/tests/test_backend" > "$tmp_dir/asan_backend.log" \
+  || { echo "FAIL: asan test_backend"; tail -40 "$tmp_dir/asan_backend.log"; exit 1; }
+"$asan_dir/tests/test_failure_injection" > "$tmp_dir/asan_failure.log" \
+  || { echo "FAIL: asan test_failure_injection"; tail -40 "$tmp_dir/asan_failure.log"; exit 1; }
 echo "ok: asan clean"
 
 echo "all checks passed"

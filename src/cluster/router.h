@@ -1,10 +1,11 @@
 // cluster::Router: the serving front door of a multi-chip IPU cluster.
 //
-// Each chip slot runs its own serve::ExecutionBackend (an IPU replica pool
-// or the GPU roofline backend) behind a bounded ingress queue and
-// micro-batcher (the per-shard admission-control contract: a full chip
-// queue load-sheds, it never grows). The router sits in front and places
-// every request on a chip:
+// A Router is serve::EventLoop (serve/event_loop.h) with one slot per chip:
+// each chip's serve::ExecutionBackend (an IPU replica pool or the GPU
+// roofline backend) behind its own bounded ingress queue and micro-batcher
+// (per-shard admission control: a full chip queue load-sheds, it never
+// grows). What the router adds is only what a cluster has. It places every
+// request on a chip:
 //
 //  * kLeastLoaded  -- fewest outstanding routed requests, ties broken by
 //                     lowest chip id (deterministic),
@@ -12,17 +13,18 @@
 //                     keys survive chip add/remove with minimal remapping
 //                     (only keys owned by the departing chip move).
 //
-// The whole cluster runs as one deterministic discrete-event simulation on
-// the simulated clock (the same virtual time domain as the BSP engine), with
-// router -> chip dispatch and response hops costed through the LinkFabric.
-// An optional autoscaler evaluates outstanding load every interval and
-// activates / drains chips between policy bounds; scale events update the
-// hash ring, so both placements see the same active set.
+// It prices the router -> chip and chip -> router hops through the
+// LinkFabric. An optional autoscaler evaluates outstanding load on the
+// loop's timer and activates / drains chips between policy bounds; scale
+// events update the hash ring, so both placements see the same active set.
+// ClusterMetrics adds the per-chip view, and the trace gets a router lane
+// plus one track per chip. Chips run unpipelined at their backend's
+// batchSeconds(), one batch per replica, even on streaming plans.
 //
 // Determinism contract: metrics and trace events derive only from the
-// single-threaded DES; host threads replay the recorded batch schedules for
-// logits and can never perturb a recorded time. ClusterMetrics::ToJson() is
-// bitwise identical across REPRO_THREADS.
+// single-threaded loop; host threads replay the recorded batch schedules
+// for logits and can never perturb a recorded time. ClusterMetrics::ToJson()
+// is bitwise identical across REPRO_THREADS.
 #pragma once
 
 #include <cstdint>
@@ -100,7 +102,7 @@ struct RouterConfig {
   // with its batch device-run spans. All emission is from the DES loop.
   obs::Tracer* tracer = nullptr;
   std::size_t trace_pid = 0;
-  std::string trace_label;
+  std::string trace_label = {};
 };
 
 // Cluster-wide serving metrics: the aggregate ServeMetrics over all chips

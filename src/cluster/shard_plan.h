@@ -55,7 +55,7 @@ struct ShardOptions {
   // steps on a dedicated "fabric" track of trace_pid.
   obs::Tracer* tracer = nullptr;
   std::size_t trace_pid = 0;
-  std::string trace_label;
+  std::string trace_label = {};
   ipu::ExeCache* cache = nullptr;  // compile cache passthrough (not owned)
 };
 

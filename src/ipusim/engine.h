@@ -93,7 +93,7 @@ struct EngineOptions {
   // keeps the hot path allocation- and branch-light (one pointer test).
   obs::Tracer* tracer = nullptr;
   std::size_t trace_pid = 0;
-  std::string trace_label;
+  std::string trace_label = {};
 };
 
 class Engine {

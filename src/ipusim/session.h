@@ -66,7 +66,7 @@ struct SessionOptions {
   // determinism contract as the run reports. Null = tracing off (free).
   obs::Tracer* tracer = nullptr;
   std::size_t trace_pid = 0;
-  std::string trace_label;
+  std::string trace_label = {};
   // Optional content-addressed compile cache (exe_cache.h). When set,
   // compile() consults it before compiling and registers fresh artifacts
   // with it; a hit returns an executable bitwise identical to a fresh

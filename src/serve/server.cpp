@@ -1,308 +1,34 @@
 #include "serve/server.h"
 
-#include <algorithm>
-#include <cmath>
-#include <deque>
-#include <queue>
-#include <set>
-#include <utility>
+#include <string>
 
 #include "obs/trace.h"
-#include "serve/request_queue.h"
-#include "util/parallel.h"
-#include "util/rng.h"
 
 namespace repro::serve {
 namespace {
 
-struct Event {
-  enum Kind { kArrival, kDeadline, kDone };
-  double time = 0.0;
-  std::uint64_t seq = 0;  // creation order: the deterministic tie-break
-  Kind kind = kArrival;
-  Request req;             // kArrival
-  std::size_t replica = 0; // kDone
-};
-
-struct EventLater {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-};
-
-// The discrete-event scheduler. Single-threaded over virtual time; the only
-// multithreaded phase is the numerics replay at the end, which cannot touch
-// any recorded time.
-class Simulation {
- public:
-  Simulation(ExecutionBackend& backend, const ServerConfig& cfg,
-             std::size_t total_requests, const Matrix* inputs)
-      : backend_(backend),
-        cfg_(cfg),
-        queue_(cfg.queue_capacity),
-        batcher_(cfg.batch),
-        metrics_(cfg.batch.max_batch),
-        profile_(backend.streamProfile()),
-        depth_(profile_.enabled ? 2 : 1),
-        inputs_(inputs),
-        total_(total_requests),
-        replicas_(backend.replicas()),
-        schedule_(backend.replicas()) {
-    for (std::size_t r = 0; r < backend.replicas(); ++r) free_.insert(r);
-    if (cfg.tracer != nullptr) {
-      // One ingress lane (admissions, queue waits, batch formation) plus a
-      // track per replica (device runs, per-request device spans). All
-      // emission happens from this single-threaded event loop.
-      const std::string pname =
-          cfg.trace_label.empty() ? "serve" : cfg.trace_label;
-      ingress_ = &cfg.tracer->track(cfg.trace_pid, 0, pname, "ingress");
-      replica_tracks_.reserve(backend.replicas());
-      for (std::size_t r = 0; r < backend.replicas(); ++r) {
-        replica_tracks_.push_back(&cfg.tracer->track(
-            cfg.trace_pid, 1 + r, pname, "replica " + std::to_string(r)));
-      }
-      metrics_.AttachTracer(cfg.tracer, ingress_);
+// One unrouted slot at the backend's own phase split, traced on an ingress
+// lane (admissions, queue waits, batch formation) plus a track per replica
+// (device runs, per-request device spans).
+EventLoop MakeLoop(ExecutionBackend& backend, const ServerConfig& cfg) {
+  EventLoop loop{.slots = {{.backend = &backend,
+                            .timing = backend.streamProfile()}},
+                 .batch = cfg.batch,
+                 .queue_capacity = cfg.queue_capacity,
+                 .host_threads = cfg.host_threads,
+                 .tracer = cfg.tracer,
+                 .cat = "serve"};
+  if (cfg.tracer != nullptr) {
+    const std::string pname =
+        cfg.trace_label.empty() ? "serve" : cfg.trace_label;
+    loop.lane = &cfg.tracer->track(cfg.trace_pid, 0, pname, "ingress");
+    for (std::size_t r = 0; r < backend.replicas(); ++r) {
+      loop.slots[0].tracks.push_back(&cfg.tracer->track(
+          cfg.trace_pid, 1 + r, pname, "replica " + std::to_string(r)));
     }
   }
-
-  void AddArrival(double t) {
-    Request req;
-    req.id = issued_++;
-    req.arrival_s = t;
-    req.row = inputs_ != nullptr && inputs_->rows() > 0
-                  ? static_cast<std::uint32_t>(req.id % inputs_->rows())
-                  : 0;
-    Push(Event{t, seq_++, Event::kArrival, req, 0});
-  }
-
-  std::size_t issued() const { return issued_; }
-
-  ServeResult Run(bool closed_loop, double think_s) {
-    while (!events_.empty()) {
-      Event e = events_.top();
-      events_.pop();
-      const double now = e.time;
-      switch (e.kind) {
-        case Event::kArrival:
-          if (queue_.TryPush(e.req)) {
-            metrics_.RecordAdmitted();
-            if (ingress_ != nullptr) {
-              // The request lifecycle span opens at admission and closes at
-              // completion (async-nestable: queued requests overlap freely).
-              ingress_->AsyncBegin("request", "request", now * 1e6, e.req.id);
-              cfg_.tracer->Count("serve.admitted");
-            }
-          } else {
-            metrics_.RecordRejected();
-            if (ingress_ != nullptr) {
-              ingress_->Instant("reject", "serve", now * 1e6,
-                                {obs::Arg("request", e.req.id)});
-              cfg_.tracer->Count("serve.rejected");
-            }
-          }
-          break;
-        case Event::kDeadline:
-          --pending_deadlines_;
-          break;
-        case Event::kDone: {
-          // Per-replica completions are FIFO: out_free advances
-          // monotonically at dispatch, so the front of the pipeline is
-          // always the batch this event announces.
-          ReplicaState& rs = replicas_[e.replica];
-          InFlight done = std::move(rs.fifo.front());
-          rs.fifo.pop_front();
-          if (rs.fifo.size() < depth_) free_.insert(e.replica);
-          last_completion_s_ = std::max(last_completion_s_, now);
-          for (const Request& req : done.batch) {
-            metrics_.RecordCompletion(now - req.arrival_s,
-                                      done.dispatch_s - req.arrival_s);
-            if (ingress_ != nullptr) {
-              // Queue wait on the ingress lane, device time on the replica's
-              // track; the end event carries the exact latency components
-              // the metrics recorded (same doubles, same arithmetic).
-              const double arr_us = req.arrival_s * 1e6;
-              const double disp_us = done.dispatch_s * 1e6;
-              ingress_->AsyncBegin("queue", "request", arr_us, req.id);
-              ingress_->AsyncEnd("queue", "request", disp_us, req.id);
-              obs::TraceTrack* rt = replica_tracks_[e.replica];
-              rt->AsyncBegin("device", "device", disp_us, req.id);
-              rt->AsyncEnd(
-                  "device", "device", now * 1e6, req.id,
-                  {obs::Arg("latency_s", now - req.arrival_s),
-                   obs::Arg("queue_delay_s", done.dispatch_s - req.arrival_s)});
-              ingress_->AsyncEnd("request", "request", now * 1e6, req.id);
-              cfg_.tracer->Count("serve.completed");
-            }
-            if (closed_loop && issued_ < total_) {
-              AddArrival(now + think_s);
-            }
-          }
-          break;
-        }
-      }
-      Pump(now);
-      ScheduleDeadline(now);
-    }
-    metrics_.Finalize(last_completion_s_);
-    ServeResult result{std::move(metrics_), Matrix()};
-    ReplayNumerics(result);
-    return result;
-  }
-
- private:
-  struct InFlight {
-    double dispatch_s = 0.0;
-    std::vector<Request> batch;
-  };
-
-  void Push(Event e) { events_.push(std::move(e)); }
-
-  // Alternates draining the bounded queue into the forming batch and
-  // dispatching ready batches to free replicas until neither makes progress.
-  // The batcher holds at most one forming batch, so backlog accumulates in
-  // the queue where TryPush enforces the admission bound.
-  //
-  // Dispatch pipelines three phases per replica -- input link, compute,
-  // output link -- each a monotonic resource. On a streaming plan a replica
-  // admits a second batch while the first computes (depth 2), so the
-  // admitted batch's input transfer runs behind the in-flight compute; the
-  // hidden portion is the overlap metric. A copy plan has in_s = out_s = 0
-  // and depth 1, which makes these formulas reproduce the unpipelined event
-  // times exactly.
-  void Pump(double now) {
-    for (;;) {
-      batcher_.Drain(queue_);
-      if (free_.empty() || !batcher_.Ready(now)) return;
-      std::vector<Request> batch = batcher_.Pop();
-      // Least-loaded free replica, lowest id on ties (set iterates
-      // ascending): spread across idle replicas first, pipeline under load.
-      std::size_t r = *free_.begin();
-      for (std::size_t cand : free_) {
-        if (replicas_[cand].fifo.size() < replicas_[r].fifo.size()) r = cand;
-      }
-      ReplicaState& rs = replicas_[r];
-      const double in_start = std::max(now, rs.in_free);
-      const double in_done = in_start + profile_.in_s;
-      const double comp_start = std::max(in_done, rs.comp_free);
-      const double comp_done = comp_start + profile_.compute_s;
-      const double out_start = std::max(comp_done, rs.out_free);
-      const double out_done = out_start + profile_.out_s;
-      // Input-link time spent while the replica was still computing the
-      // previous batch: transfer hidden behind compute.
-      const double overlapped =
-          std::max(0.0, std::min(in_done, rs.comp_free) - in_start);
-      rs.in_free = in_done;
-      rs.comp_free = comp_done;
-      rs.out_free = out_done;
-      metrics_.RecordBatch(batch.size(), now);
-      metrics_.RecordOverlap(overlapped);
-      if (ingress_ != nullptr) {
-        // Batch formation spans the oldest member's arrival to dispatch.
-        const std::uint64_t bid = batch_seq_++;
-        ingress_->AsyncBegin("batch_form", "batch",
-                             batch.front().arrival_s * 1e6, bid,
-                             {obs::Arg("occupancy", batch.size())});
-        ingress_->AsyncEnd("batch_form", "batch", now * 1e6, bid);
-        if (profile_.enabled) {
-          replica_tracks_[r]->Complete("stream_in", "host", in_start * 1e6,
-                                       profile_.in_s * 1e6,
-                                       {obs::Arg("batch", bid),
-                                        obs::Arg("overlapped_s", overlapped)});
-        }
-        replica_tracks_[r]->Complete("device_run", "serve", comp_start * 1e6,
-                                     profile_.compute_s * 1e6,
-                                     {obs::Arg("batch", bid),
-                                      obs::Arg("occupancy", batch.size())});
-        if (profile_.enabled) {
-          replica_tracks_[r]->Complete("stream_out", "host", out_start * 1e6,
-                                       profile_.out_s * 1e6,
-                                       {obs::Arg("batch", bid)});
-        }
-        cfg_.tracer->Count("serve.batches");
-      }
-      schedule_[r].push_back(batch);
-      rs.fifo.push_back(InFlight{now, std::move(batch)});
-      if (rs.fifo.size() >= depth_) free_.erase(r);
-      Push(Event{out_done, seq_++, Event::kDone, Request{}, r});
-    }
-  }
-
-  // A partial batch left waiting needs a future wake-up at its flush
-  // deadline -- but only when a replica is free (otherwise the next kDone
-  // re-evaluates) and no earlier deadline event is already pending (front
-  // arrivals are FIFO, so pending deadline times never exceed the current
-  // one).
-  void ScheduleDeadline(double now) {
-    if (batcher_.empty() || free_.empty() || pending_deadlines_ > 0) return;
-    const double d = batcher_.Deadline();
-    if (!std::isfinite(d)) return;
-    Push(Event{std::max(d, now), seq_++, Event::kDeadline, Request{}, 0});
-    ++pending_deadlines_;
-  }
-
-  // Replays the recorded dispatch schedule through the replica engines to
-  // produce logits. Parallel across replicas, sequential within one; batch
-  // composition is fixed by the DES, so results are independent of
-  // host_threads.
-  void ReplayNumerics(ServeResult& result) {
-    if (inputs_ == nullptr || !backend_.canExecute()) return;
-    const nn::ForwardSpec& spec = backend_.spec();
-    result.logits = Matrix(total_, spec.classes);
-    ParallelForWith(
-        cfg_.host_threads, 0, backend_.replicas(),
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t r = begin; r < end; ++r) {
-            for (const std::vector<Request>& batch : schedule_[r]) {
-              Matrix in(batch.size(), spec.input);
-              for (std::size_t i = 0; i < batch.size(); ++i) {
-                auto src = inputs_->row(batch[i].row);
-                std::copy(src.begin(), src.end(), in.row(i).begin());
-              }
-              Matrix out = backend_.ExecuteBatch(r, in);
-              for (std::size_t i = 0; i < batch.size(); ++i) {
-                auto dst = result.logits.row(batch[i].id);
-                std::copy(out.row(i).begin(), out.row(i).end(), dst.begin());
-              }
-            }
-          }
-        },
-        /*min_grain=*/1);
-  }
-
-  // One replica's pipeline: absolute sim times each phase resource frees,
-  // plus the in-flight batches in dispatch (= completion) order.
-  struct ReplicaState {
-    double in_free = 0.0;
-    double comp_free = 0.0;
-    double out_free = 0.0;
-    std::deque<InFlight> fifo;
-  };
-
-  ExecutionBackend& backend_;
-  const ServerConfig& cfg_;
-  BoundedMpmcQueue<Request> queue_;
-  MicroBatcher batcher_;
-  ServeMetrics metrics_;
-  const StreamProfile profile_;
-  const std::size_t depth_;  // in-flight batches per replica (2 = streaming)
-  const Matrix* inputs_;
-  const std::size_t total_;
-
-  std::priority_queue<Event, std::vector<Event>, EventLater> events_;
-  std::uint64_t seq_ = 0;
-  std::uint64_t issued_ = 0;
-  // Replicas with pipeline headroom; dispatch picks the least-loaded,
-  // lowest id on ties.
-  std::set<std::size_t> free_;
-  std::vector<ReplicaState> replicas_;
-  std::vector<std::vector<std::vector<Request>>> schedule_;  // per replica
-  std::size_t pending_deadlines_ = 0;
-  double last_completion_s_ = 0.0;
-  obs::TraceTrack* ingress_ = nullptr;  // null = tracing off
-  std::vector<obs::TraceTrack*> replica_tracks_;
-  std::uint64_t batch_seq_ = 0;
-};
+  return loop;
+}
 
 }  // namespace
 
@@ -322,28 +48,12 @@ Server::Server(ReplicaPool& pool, ServerConfig config)
 
 ServeResult Server::RunOpenLoop(const OpenLoopLoad& load,
                                 const Matrix* inputs) {
-  REPRO_REQUIRE(load.qps > 0.0, "open-loop rate must be positive");
-  Simulation sim(*backend_, config_, load.requests, inputs);
-  Rng rng(load.seed);
-  double t = 0.0;
-  for (std::size_t i = 0; i < load.requests; ++i) {
-    t += -std::log(1.0 - rng.Uniform()) / load.qps;  // Exp(qps) gaps
-    sim.AddArrival(t);
-  }
-  return sim.Run(/*closed_loop=*/false, /*think_s=*/0.0);
+  return MakeLoop(*backend_, config_).Run(load, inputs);
 }
 
 ServeResult Server::RunClosedLoop(const ClosedLoopLoad& load,
                                   const Matrix* inputs) {
-  REPRO_REQUIRE(load.clients > 0, "closed loop needs at least one client");
-  REPRO_REQUIRE(load.clients <= config_.queue_capacity,
-                "closed-loop clients (%zu) exceed the queue bound (%zu): the "
-                "backpressure contract caps outstanding work at the queue",
-                load.clients, config_.queue_capacity);
-  Simulation sim(*backend_, config_, load.requests, inputs);
-  const std::size_t initial = std::min(load.clients, load.requests);
-  for (std::size_t c = 0; c < initial; ++c) sim.AddArrival(0.0);
-  return sim.Run(/*closed_loop=*/true, load.think_s);
+  return MakeLoop(*backend_, config_).Run(load, inputs);
 }
 
 }  // namespace repro::serve

@@ -1,42 +1,27 @@
 // The serving front end: queue -> micro-batcher -> replica pool -> metrics.
 //
-// Scheduling runs as a deterministic discrete-event simulation on the same
-// virtual clock as the IPU cycle model. Arrivals (open-loop Poisson from a
-// seeded Rng, or closed-loop clients that re-issue on completion) enter the
-// bounded ingress queue -- a full queue load-sheds and counts a rejection
-// (open loop) while closed-loop clients are capped by the queue bound, the
-// backpressure contract. The micro-batcher drains the queue and dispatches
-// a batch to the least-loaded free replica when it is full or the oldest
-// request has waited out max_delay. Dispatch models the plan's three-phase
-// pipeline (input link, compute, output link): streaming plans admit two
-// batches in flight per replica so batch N+1's input transfer hides behind
-// batch N's compute (the overlap lands in ServeMetrics::overlappedHostSeconds),
-// while copy plans collapse to the classic one-batch-per-replica schedule
-// occupying the replica for the constant batchSeconds().
-//
-// Determinism contract: every metric derives from simulated event times
-// produced by this single-threaded scheduler, so the metrics JSON is
-// bitwise identical across host_threads for a fixed (seed, config). Host
-// threads only replay the recorded batch schedule through the replica
-// engines to produce logits (execute plans); batches of one replica stay
-// sequential, replicas run in parallel.
+// A Server is serve::EventLoop (event_loop.h) with one unrouted slot: its
+// backend's replicas, dispatched at the backend's own StreamProfile.
+// Streaming plans admit two batches in flight per replica, so batch N+1's
+// input transfer hides behind batch N's compute (the overlap lands in
+// ServeMetrics::overlappedHostSeconds); copy plans serve one batch at a
+// time per replica for the constant batchSeconds(). Arrivals (open-loop
+// Poisson, or closed-loop clients that re-issue on completion) enter the
+// bounded ingress queue: a full queue load-sheds and counts a rejection,
+// and closed-loop clients are capped by the queue bound (the backpressure
+// contract). Metrics and traces are bitwise identical across host_threads
+// (the loop's determinism contract).
 #pragma once
 
-#include <cstdint>
-
-#include <string>
-
 #include <memory>
+#include <string>
 
 #include "linalg/matrix.h"
 #include "serve/backend.h"
 #include "serve/batcher.h"
+#include "serve/event_loop.h"
 #include "serve/metrics.h"
 #include "serve/replica_pool.h"
-
-namespace repro::obs {
-class Tracer;
-}  // namespace repro::obs
 
 namespace repro::serve {
 
@@ -54,31 +39,7 @@ struct ServerConfig {
   // as the metrics JSON. Null = off (no cost on the serving path).
   obs::Tracer* tracer = nullptr;
   std::size_t trace_pid = 0;
-  std::string trace_label;
-};
-
-// Open loop: `requests` Poisson arrivals at `qps` offered load; rejected
-// requests are dropped (load shedding).
-struct OpenLoopLoad {
-  double qps = 1e5;
-  std::size_t requests = 1000;
-  std::uint64_t seed = 1;
-};
-
-// Closed loop: `clients` outstanding requests, each re-issued `think_s`
-// after its completion, until `requests` total have been issued. Requires
-// clients <= queue_capacity, so nothing is ever rejected.
-struct ClosedLoopLoad {
-  std::size_t clients = 8;
-  std::size_t requests = 1000;
-  double think_s = 0.0;
-};
-
-struct ServeResult {
-  ServeMetrics metrics;
-  // Per-request logits (row = request id; rejected requests stay zero).
-  // Only filled for execute plans given a non-empty input matrix.
-  Matrix logits;
+  std::string trace_label = {};
 };
 
 class Server {

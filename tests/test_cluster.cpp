@@ -364,6 +364,69 @@ TEST(RouterTest, MetricsAndLogitsBitwiseIdenticalAcrossHostThreads) {
   EXPECT_EQ(a.metrics.completed(), 48u);
 }
 
+// A one-chip Router without a fabric is a Server plus a routing step on the
+// same event loop. On a copy plan (the router slot runs unpipelined) every
+// latency, the throughput, the shed count and the occupancy histogram must
+// match the Server's bit for bit, open and closed loop.
+TEST(RouterTest, OneChipCopyPlanMatchesServer) {
+  Rng rng(41);
+  nn::Sequential model = nn::BuildShl(Method::kButterfly, SmallShape(64), rng);
+  auto plan = serve::ModelPlan::Build(
+      nn::ExportForward(model), ipu::Gc200(),
+      serve::PlanOptions{
+          .max_batch = 8, .execute = false, .streaming = false});
+  ASSERT_TRUE(plan.ok()) << plan.status().message();
+  const double batch_s = plan.value()->batchSeconds();
+  auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  for (std::size_t replicas : {1, 2, 4}) {
+    serve::ReplicaPool pool(*plan.value(), replicas);
+    for (double max_delay_s : {0.0, 50e-6, 200e-6}) {
+      for (std::size_t clients : {1, 7, 32}) {
+        for (bool closed : {true, false}) {
+          SCOPED_TRACE(testing::Message()
+                       << "replicas " << replicas << " max_delay_s "
+                       << max_delay_s << " clients " << clients
+                       << (closed ? " closed" : " open"));
+          const serve::BatchPolicy batch{.max_batch = 8,
+                                         .max_delay_s = max_delay_s};
+          serve::ServerConfig sc;
+          sc.batch = batch;
+          sc.queue_capacity = 32;
+          RouterConfig rc;
+          rc.batch = batch;
+          rc.queue_capacity = 32;
+          serve::Server server(pool, sc);
+          Router router({&pool}, rc);
+          const serve::ClosedLoopLoad closed_load{
+              .clients = clients, .requests = 200, .think_s = 0.0};
+          // Offered load grows with `clients`: 32 per batch time overloads
+          // every pool below 4 replicas, so the open loop sheds.
+          const serve::OpenLoopLoad open_load{
+              .qps = static_cast<double>(clients) / batch_s,
+              .requests = 200,
+              .seed = 5};
+          const serve::ServeMetrics s =
+              closed ? server.RunClosedLoop(closed_load).metrics
+                     : server.RunOpenLoop(open_load).metrics;
+          const ClusterResult r = closed ? router.RunClosedLoop(closed_load)
+                                         : router.RunOpenLoop(open_load);
+          const serve::ServeMetrics& m = r.metrics.aggregate();
+          ASSERT_EQ(s.latencies().size(), m.latencies().size());
+          for (std::size_t i = 0; i < s.latencies().size(); ++i) {
+            ASSERT_TRUE(same_bits(s.latencies()[i], m.latencies()[i]))
+                << "request " << i;
+          }
+          EXPECT_TRUE(same_bits(s.qps(), m.qps()));
+          EXPECT_EQ(s.rejected(), m.rejected());
+          EXPECT_EQ(s.occupancyHist(), m.occupancyHist());
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ShardPlan: tensor-parallel split, bitwise-near the unsharded plan
 

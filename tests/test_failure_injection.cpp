@@ -1,16 +1,27 @@
 // Failure injection: malformed graphs, inconsistent plans, and bad inputs
 // must fail loudly (Status for data-dependent conditions, fatal checks for
 // API misuse) -- never silently compute garbage.
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "cluster/router.h"
 #include "core/butterfly.h"
 #include "core/fft.h"
+#include "core/method.h"
 #include "ipusim/codelet.h"
 #include "ipusim/matmul.h"
 #include "ipusim/session.h"
 #include "linalg/gemm.h"
 #include "linalg/spmm.h"
+#include "nn/export.h"
+#include "nn/model.h"
 #include "nn/structured.h"
+#include "serve/model_plan.h"
+#include "serve/replica_pool.h"
+#include "serve/server.h"
+#include "util/rng.h"
 
 namespace repro {
 namespace {
@@ -203,6 +214,63 @@ TEST(FailureInjection, OversubscribedTileReportsFullestTile) {
   ASSERT_FALSE(exe.ok());
   EXPECT_NE(exe.status().message().find("tile memory exceeded"),
             std::string::npos);
+}
+
+// Serving replay: request rows are copied into batches of the model's input
+// width and logits land in one matrix, so the inputs must match the model
+// and every slot must serve the same shapes.
+std::unique_ptr<serve::ModelPlan> ExecutePlan(std::size_t n) {
+  Rng rng(5);
+  core::ShlShape shape;
+  shape.input = n;
+  shape.hidden = n;
+  shape.classes = 10;
+  nn::Sequential model = nn::BuildShl(core::Method::kButterfly, shape, rng);
+  auto plan = serve::ModelPlan::Build(nn::ExportForward(model), Gc200(),
+                                      serve::PlanOptions{.max_batch = 4});
+  REPRO_REQUIRE(plan.ok(), "plan: %s", plan.status().message().c_str());
+  return plan.take();
+}
+
+TEST(FailureInjection, ServerReplayRejectsMisshapenInputs) {
+  auto plan = ExecutePlan(64);
+  serve::ReplicaPool pool(*plan, 1);
+  serve::Server server(pool, serve::ServerConfig{});
+  const serve::ClosedLoopLoad load{.clients = 4, .requests = 8};
+  const Matrix wide(4, 65);
+  EXPECT_DEATH(server.RunClosedLoop(load, &wide),
+               "65 wide, the model takes 64");
+  const Matrix no_rows(0, 64);
+  EXPECT_DEATH(server.RunOpenLoop({.requests = 8}, &no_rows), "no rows");
+}
+
+TEST(FailureInjection, RouterReplayRejectsMisshapenInputsAndMixedModels) {
+  auto plan64 = ExecutePlan(64);
+  auto plan32 = ExecutePlan(32);
+  serve::ReplicaPool a(*plan64, 1), b(*plan64, 1), small(*plan32, 1);
+  const serve::ClosedLoopLoad load{.clients = 4, .requests = 8};
+  using Pools = std::vector<serve::ReplicaPool*>;
+  cluster::Router same(Pools{&a, &b}, cluster::RouterConfig{});
+  const Matrix wide(4, 65);
+  EXPECT_DEATH(same.RunClosedLoop(load, &wide), "65 wide, the model takes 64");
+  const Matrix no_rows(0, 64);
+  EXPECT_DEATH(same.RunClosedLoop(load, &no_rows), "no rows");
+  cluster::Router mixed(Pools{&a, &small}, cluster::RouterConfig{});
+  const Matrix rows(4, 64);
+  EXPECT_DEATH(mixed.RunClosedLoop(load, &rows), "slot 1 serves a 32 -> 10");
+}
+
+// A zero evaluation interval would re-arm the autoscaler at the same
+// simulated instant forever; the router refuses it instead of hanging.
+TEST(FailureInjection, RouterAutoscaleZeroIntervalDies) {
+  auto plan = ExecutePlan(64);
+  serve::ReplicaPool pool(*plan, 1);
+  cluster::RouterConfig rc;
+  rc.autoscale.enabled = true;
+  rc.autoscale.eval_interval_s = 0.0;
+  cluster::Router router(std::vector<serve::ReplicaPool*>{&pool}, rc);
+  EXPECT_DEATH(router.RunClosedLoop({.clients = 4, .requests = 8}),
+               "positive eval interval");
 }
 
 }  // namespace
