@@ -263,12 +263,12 @@ DispatchGraph BuildDispatchGraph(ipu::Session& session,
   dg.cs = g.addComputeSet("dispatch");
   for (std::size_t tile = 0; tile < shape.tiles; ++tile) {
     const std::size_t n = shape.per_tile * shape.elems;
-    const std::string suffix = "_" + std::to_string(tile);
-    ipu::Tensor x = g.addVariable("x" + suffix, n);
-    ipu::Tensor y = g.addVariable("y" + suffix, n);
-    ipu::Tensor z = g.addVariable("z" + suffix, n);
-    ipu::Tensor w = g.addVariable("w" + suffix, n);
-    ipu::Tensor d = g.addVariable("d" + suffix, shape.per_tile);
+    const std::string id = std::to_string(tile);
+    ipu::Tensor x = g.addVariable("x_" + id, n);
+    ipu::Tensor y = g.addVariable("y_" + id, n);
+    ipu::Tensor z = g.addVariable("z_" + id, n);
+    ipu::Tensor w = g.addVariable("w_" + id, n);
+    ipu::Tensor d = g.addVariable("d_" + id, shape.per_tile);
     for (ipu::Tensor t : {x, y, z, w, d}) g.setTileMapping(t, tile);
     for (std::size_t i = 0; i < shape.per_tile; ++i) {
       const ipu::Tensor xi = x.slice(i * shape.elems, shape.elems);

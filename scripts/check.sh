@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus bench JSON schema checks:
-#   1. configure + build + ctest (the tier-1 gate from ROADMAP.md);
+#   1. configure + build + ctest (the tier-1 gate from ROADMAP.md); the
+#      build runs with -Werror, so a new compiler warning fails the check;
 #   2. run every --json bench in --fast mode;
 #   3. compare the set of JSON keys each bench emits against the checked-in
 #      schema in scripts/bench_schemas/<bench>.keys. A missing or renamed key
@@ -33,7 +34,10 @@
 #      bench_table5_sweep --fast --json must be byte-identical to their
 #      goldens in scripts/golden/ at 1 and 4 host threads, and
 #      bench_kernels --require-host-speedup 1.5 gates the GEMM core's
-#      dense-step speedup over GemmNaive;
+#      dense-step speedup over GemmNaive; bench_fig7_computesets --fast
+#      (--json and --trace) and bench_fig6_layers --fast --json must be
+#      byte-identical to their goldens, which pins the timing lowerings'
+#      compute-set names, cycles and layer times;
 #   8. AddressSanitizer build of the concurrency-heavy and serving tests
 #      (test_serve, test_session, test_obs, test_kernels, test_stream,
 #      test_executable, test_cluster, test_backend, and
@@ -48,7 +52,7 @@ build_dir="${1:-$repo_root/build}"
 schema_dir="$repo_root/scripts/bench_schemas"
 
 echo "== configure + build =="
-cmake -B "$build_dir" -S "$repo_root"
+cmake -B "$build_dir" -S "$repo_root" -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$build_dir" -j
 
 echo "== tier-1 tests =="
@@ -407,7 +411,32 @@ if ! REPRO_THREADS=1 "$build_dir/bench/bench_kernels" --fast \
   exit 1
 fi
 grep 'dense step' "$tmp_dir/host_gemm_gate.log" || true
+# The per-layer timing lowerings: the Fig. 7 ledger and trace record every
+# compute set's name and cycles, the Fig. 6 JSON every layer time. Goldens
+# captured with exactly these commands before the timing, serving and shard
+# graphs shared one butterfly / pixelfly builder.
+fig7_json="$tmp_dir/fig7_golden.json"
+fig7_trace="$tmp_dir/fig7_golden_trace.json"
+REPRO_THREADS=1 "$build_dir/bench/bench_fig7_computesets" --fast \
+  --json "$fig7_json" --trace "$fig7_trace" > "$tmp_dir/fig7_golden.log"
+if ! cmp -s "$fig7_json" "$repo_root/scripts/golden/bench_fig7_computesets_fast.json" \
+    || ! cmp -s "$fig7_trace" \
+      "$repo_root/scripts/golden/bench_fig7_computesets_fast_trace.json"; then
+  echo "FAIL: bench_fig7_computesets --fast bytes differ from the golden"
+  diff "$fig7_json" "$repo_root/scripts/golden/bench_fig7_computesets_fast.json" \
+    | head -10
+  exit 1
+fi
+fig6_json="$tmp_dir/fig6_golden.json"
+"$build_dir/bench/bench_fig6_layers" --fast --json "$fig6_json" \
+  > "$tmp_dir/fig6_golden.log"
+if ! cmp -s "$fig6_json" "$repo_root/scripts/golden/bench_fig6_layers_fast.json"; then
+  echo "FAIL: bench_fig6_layers --fast bits differ from the golden"
+  diff "$fig6_json" "$repo_root/scripts/golden/bench_fig6_layers_fast.json" | head -10
+  exit 1
+fi
 echo "ok: table4/table5 training bits match the goldens at 1 and 4 threads; core >= 1.5x naive"
+echo "ok: fig6 layer times and fig7 compute-set ledger + trace match their goldens"
 
 echo "== asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable + test_cluster + test_backend + test_failure_injection) =="
 asan_dir="$build_dir-asan"

@@ -8,10 +8,14 @@
 // how a feature-parallel lowering lays tensors out on the real device.
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "core/pixelfly.h"
 #include "ipusim/arch.h"
 #include "ipusim/graph.h"
 #include "ipusim/profiler.h"
+#include "ipusim/program.h"
 #include "util/error.h"
 
 namespace repro::obs {
@@ -24,26 +28,38 @@ class ExeCache;
 
 namespace repro::core {
 
-// --- graph-building helpers shared with the serving lowering (serve/) ---
+// --- layer builders shared by the timing, serving and shard lowerings ---
 
-// PopTorch-parity cycles-per-MAC for the Butterfly2x2 codelet at width n:
-// the calibration that puts the butterfly/Linear crossover at N ~ 2^10 and
-// the large-N speedup near 1.6x (Fig. 6 right). `parity` false models
-// hand-written custom vertices.
-double ButterflyCyclesPerMac(std::size_t n, bool parity = true);
+// One butterfly layer's device tensors.
+struct ButterflyStages {
+  ipu::Tensor out;                   // activation after the last factor
+  std::vector<ipu::Tensor> weights;  // per factor f: (n/2) x 4 coefficients
+};
 
-// Maps an n-row staging tensor to tiles offset by half the device from the
-// linear mapping, so a stage materialisation exchanges nearly everything (a
-// real gather/rearrange does).
-void MapRowsOffset(ipu::Graph& g, const ipu::Tensor& t, std::size_t n);
+// Appends the butterfly layer to `seq`: one Butterfly2x2 compute set
+// "Butterfly2x2_s<2^f>" per factor f < log2(n), over the feature-major
+// activation x (n rows of `batch` columns). Factor f's weights are
+// "<prefix>w<f>". With `parity` (PopTorch parity) every stage first
+// materialises into a fresh staging tensor "<prefix>stage<f>" and the
+// codelets run at the framework's size-dependent cycles-per-MAC; without
+// it the stages run in place on x at the custom-vertex rate.
+ButterflyStages AddButterflyStages(ipu::Graph& g, ipu::Program& seq,
+                                   const ipu::Tensor& x, std::size_t n,
+                                   std::size_t batch, bool parity,
+                                   const std::string& prefix);
 
-// Builds one stage of 2x2-pair compute sets (butterfly / Hadamard) over the
-// feature-major activation tensor x (n rows of `batch` columns). Returns the
-// compute set; `codelet` is Butterfly2x2 (with weights w) or Hadamard2.
-ipu::ComputeSetId AddPairStage(ipu::Graph& g, const ipu::Tensor& x,
-                               std::size_t n, std::size_t batch,
-                               std::size_t stride, const char* codelet,
-                               const ipu::Tensor* w, double cpm);
+// Appends pixelfly's block-sparse term to `seq`: out = sum over butterfly
+// levels of the `pattern` blocks (weights w, one b*b row per block) applied
+// to x, plus x itself when cfg.residual. One BlockGemmAmp compute set per
+// level, named `level_cs` + level, writes per-level partials; one ReduceAdd
+// compute set `sum_cs` sums them into out. x and out are n x `batch`.
+void AddPixelflyBlockSparse(ipu::Graph& g, ipu::Program& seq,
+                            const ipu::Tensor& x, const ipu::Tensor& w,
+                            const ipu::Tensor& out,
+                            const std::vector<BlockCoord>& pattern,
+                            const PixelflyConfig& cfg, std::size_t batch,
+                            const std::string& level_cs,
+                            const std::string& sum_cs);
 
 struct IpuLayerTiming {
   double fwd_seconds = 0.0;

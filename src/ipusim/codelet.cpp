@@ -9,8 +9,6 @@
 namespace repro::ipu {
 namespace {
 
-std::size_t Pad16(std::size_t x) { return CeilDiv(x, 16) * 16; }
-
 // --- shared arithmetic cores ------------------------------------------------
 //
 // Each builtin's real arithmetic lives in exactly one core function called by
@@ -151,25 +149,6 @@ void DiagMulCore(std::size_t batch, std::span<const float> d,
   for (std::size_t l = 0; l < d.size(); ++l) {
     for (std::size_t j = 0; j < batch; ++j) {
       y[l * batch + j] = d[l] * x[l * batch + j];
-    }
-  }
-}
-
-void ButterflyCore(std::size_t batch, std::span<const float> w,
-                   std::span<const float> xt, std::span<const float> xb,
-                   std::span<float> yt, std::span<float> yb) {
-  const std::size_t pairs = w.size() / 4;
-  REPRO_REQUIRE(xt.size() == pairs * batch && xb.size() == xt.size() &&
-                    yt.size() == xt.size() && yb.size() == xt.size(),
-                "Butterfly2x2 shape mismatch");
-  for (std::size_t p = 0; p < pairs; ++p) {
-    const float a = w[4 * p + 0], b = w[4 * p + 1];
-    const float c = w[4 * p + 2], d = w[4 * p + 3];
-    for (std::size_t j = 0; j < batch; ++j) {
-      const float t = xt[p * batch + j];
-      const float u = xb[p * batch + j];
-      yt[p * batch + j] = a * t + b * u;
-      yb[p * batch + j] = c * t + d * u;
     }
   }
 }

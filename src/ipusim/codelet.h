@@ -265,6 +265,32 @@ void GemmCore(std::size_t m, std::size_t k, std::size_t n, bool accumulate,
               std::span<const float> a, std::span<const float> b,
               std::span<float> out);
 
+// The arithmetic of the Butterfly2x2 codelet: pair p of w.size() / 4 maps
+// rows xt_p, xb_p (`batch` columns each) to yt_p = a xt_p + b xb_p and
+// yb_p = c xt_p + d xb_p, with (a, b, c, d) = w[4p .. 4p+4). Each column
+// reads both inputs before writing, so yt/yb may alias xt/xb (the in-place
+// stage the lowering emits). Inline so the codelet's per-vertex calls, a
+// few batch columns each, compile without a call.
+inline void ButterflyCore(std::size_t batch, std::span<const float> w,
+                          std::span<const float> xt,
+                          std::span<const float> xb, std::span<float> yt,
+                          std::span<float> yb) {
+  const std::size_t pairs = w.size() / 4;
+  REPRO_REQUIRE(xt.size() == pairs * batch && xb.size() == xt.size() &&
+                    yt.size() == xt.size() && yb.size() == xt.size(),
+                "Butterfly2x2 shape mismatch");
+  for (std::size_t p = 0; p < pairs; ++p) {
+    const float a = w[4 * p + 0], b = w[4 * p + 1];
+    const float c = w[4 * p + 2], d = w[4 * p + 3];
+    for (std::size_t j = 0; j < batch; ++j) {
+      const float t = xt[p * batch + j];
+      const float u = xb[p * batch + j];
+      yt[p * batch + j] = a * t + b * u;
+      yb[p * batch + j] = c * t + d * u;
+    }
+  }
+}
+
 // Global codelet registry; builtins are registered on first access.
 class CodeletRegistry {
  public:

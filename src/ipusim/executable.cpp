@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -561,8 +562,7 @@ std::uint64_t Fnv1a64(std::span<const std::uint8_t> bytes) {
 
 std::vector<std::uint8_t> Executable::Serialize() const {
   REPRO_REQUIRE(graph != nullptr, "Serialize on an empty Executable");
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+  std::vector<std::uint8_t> out(std::begin(kMagic), std::end(kMagic));
   PutU32(out, kExecutableFormatVersion);
   AppendGraphBytes(*graph, out);
   PutProgram(out, program);

@@ -101,4 +101,122 @@ std::vector<float> PackGemmBlocks(const KSplitGemm& gw, const float* w) {
   return packed;
 }
 
+BiasReluHead AddBiasReluHead(ipu::Graph& g, ipu::Program& seq,
+                             const ipu::Tensor& h, std::size_t classes,
+                             std::size_t batch, const std::string& prefix) {
+  using ipu::Program;
+  const std::size_t B = batch;
+  const std::size_t hidden = h.rows;
+  BiasReluHead head;
+  head.hidden_bias = g.addVariable(prefix + "hbias", hidden);
+  g.mapLinearly(head.hidden_bias, 1);
+  ipu::ComputeSetId cs_bias = g.addComputeSet(prefix + "bias_relu");
+  const std::size_t rows_per_tile =
+      std::max<std::size_t>(1, CeilDiv(hidden, g.arch().num_tiles));
+  for (std::size_t r = 0; r < hidden; r += rows_per_tile) {
+    const std::size_t count = std::min(rows_per_tile, hidden - r);
+    const std::size_t tile = g.tileOfElement(h, r * B);
+    ipu::VertexId v = g.addVertex(cs_bias, ipu::codelets::kBiasRelu, tile);
+    g.connect(v, "bias", head.hidden_bias.slice(r, count));
+    g.connect(v, "x", h.rowRange(r, count));
+    g.connect(v, "y", h.rowRange(r, count), true);
+    g.setInitialValue(v, "batch", static_cast<double>(B));
+    g.setInitialValue(v, "relu", 1.0);
+  }
+  seq.add(Program::Execute(cs_bias));
+
+  const std::size_t cp = Pad16(classes);
+  head.logits = g.addVariable(prefix + "logits", cp, B);
+  g.mapLinearly(head.logits, B);
+  head.cls_w = AddKSplitGemm(g, seq, prefix + "cls", h, head.logits, classes,
+                             hidden, /*accumulate=*/false, B);
+  head.cls_bias = g.addVariable(prefix + "cbias", cp);
+  g.mapLinearly(head.cls_bias, 1);
+  ipu::ComputeSetId cs_cb = g.addComputeSet(prefix + "cls_bias");
+  ipu::VertexId vb = g.addVertex(cs_cb, ipu::codelets::kBiasRelu,
+                                 g.tileOfElement(head.logits, 0));
+  g.connect(vb, "bias", head.cls_bias);
+  g.connect(vb, "x", head.logits);
+  g.connect(vb, "y", head.logits, true);
+  g.setInitialValue(vb, "batch", static_cast<double>(B));
+  g.setInitialValue(vb, "relu", 0.0);
+  seq.add(Program::Execute(cs_cb));
+  return head;
+}
+
+void WriteHeadWeights(ipu::Engine& engine, const BiasReluHead& head,
+                      std::span<const float> hidden_bias,
+                      const float* classifier,
+                      std::span<const float> classifier_bias) {
+  engine.writeTensor(head.hidden_bias, hidden_bias);
+  engine.writeTensor(head.cls_w.w, PackGemmBlocks(head.cls_w, classifier));
+  std::vector<float> cb(head.cls_bias.numel, 0.0f);
+  std::copy(classifier_bias.begin(), classifier_bias.end(), cb.begin());
+  engine.writeTensor(head.cls_bias, cb);
+}
+
+std::vector<float> PackInputs(const nn::ForwardSpec& spec,
+                              const Matrix& inputs, std::size_t batch) {
+  const std::size_t B = batch;
+  const std::size_t rows = inputs.rows();
+  REPRO_REQUIRE(rows >= 1 && rows <= B && inputs.cols() == spec.input,
+                "batch shape %zux%zu vs plan (<=%zu x %zu)", rows,
+                inputs.cols(), B, spec.input);
+  const bool permute = spec.method == core::Method::kButterfly &&
+                       !spec.butterfly_perm.empty();
+  std::vector<float> xbuf(spec.input * B, 0.0f);
+  for (std::size_t i = 0; i < spec.input; ++i) {
+    const std::size_t src = permute ? spec.butterfly_perm[i] : i;
+    for (std::size_t j = 0; j < rows; ++j) {
+      xbuf[i * B + j] = inputs(j, src);
+    }
+  }
+  return xbuf;
+}
+
+Matrix UnpackLogits(std::span<const float> logits, std::size_t rows,
+                    std::size_t classes, std::size_t batch) {
+  Matrix out(rows, classes);
+  for (std::size_t c = 0; c < classes; ++c) {
+    for (std::size_t j = 0; j < rows; ++j) {
+      out(j, c) = logits[c * batch + j];
+    }
+  }
+  return out;
+}
+
+Status CheckButterflySpec(const nn::ForwardSpec& spec) {
+  if (spec.method != core::Method::kButterfly) return Status::Ok();
+  const std::vector<std::uint32_t>& perm = spec.butterfly_perm;
+  if (!perm.empty()) {
+    if (perm.size() != spec.input) {
+      return Status::InvalidArgument(
+          "butterfly_perm has " + std::to_string(perm.size()) +
+          " entries for input width " + std::to_string(spec.input));
+    }
+    std::vector<bool> seen(spec.input, false);
+    for (std::uint32_t p : perm) {
+      if (p >= spec.input || seen[p]) {
+        return Status::InvalidArgument(
+            "butterfly_perm is not a permutation of [0, " +
+            std::to_string(spec.input) + "): entry " + std::to_string(p));
+      }
+      seen[p] = true;
+    }
+  }
+  if (spec.butterfly_factors.size() != Log2(spec.hidden)) {
+    return Status::InvalidArgument(
+        "butterfly spec has " + std::to_string(spec.butterfly_factors.size()) +
+        " factors for hidden width " + std::to_string(spec.hidden));
+  }
+  for (const std::vector<float>& f : spec.butterfly_factors) {
+    if (f.size() != 2 * spec.hidden) {
+      return Status::InvalidArgument(
+          "butterfly factor holds " + std::to_string(f.size()) +
+          " floats, want 2 * hidden = " + std::to_string(2 * spec.hidden));
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace repro::serve

@@ -40,4 +40,8 @@ constexpr std::size_t CeilDiv(std::size_t a, std::size_t b) {
   return (a + b - 1) / b;
 }
 
+// Rounds x up to a multiple of 16: the AMP's row granularity, to which
+// device GEMM operands are padded.
+constexpr std::size_t Pad16(std::size_t x) { return CeilDiv(x, 16) * 16; }
+
 }  // namespace repro

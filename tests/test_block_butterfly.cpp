@@ -143,7 +143,9 @@ TEST(BlockButterfly, ProductReachesFurtherThanFlatSum) {
   // solution for a single k).
   auto pattern = FlatButterflyPattern(n, b, s);
   for (const auto& c : pattern) {
-    if (c.bi == 0) EXPECT_NE(c.bj, 3u);
+    if (c.bi == 0) {
+      EXPECT_NE(c.bj, 3u);
+    }
   }
 }
 

@@ -2,11 +2,13 @@
 // must fail loudly (Status for data-dependent conditions, fatal checks for
 // API misuse) -- never silently compute garbage.
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cluster/router.h"
+#include "cluster/shard_plan.h"
 #include "core/butterfly.h"
 #include "core/fft.h"
 #include "core/method.h"
@@ -258,6 +260,77 @@ TEST(FailureInjection, RouterReplayRejectsMisshapenInputsAndMixedModels) {
   cluster::Router mixed(Pools{&a, &small}, cluster::RouterConfig{});
   const Matrix rows(4, 64);
   EXPECT_DEATH(mixed.RunClosedLoop(load, &rows), "slot 1 serves a 32 -> 10");
+}
+
+// Both plans index a butterfly spec's input permutation and factor
+// coefficients without further checks (host-side input packing, per-chip
+// weight slices), so Build must refuse a malformed spec. Accepted, a
+// permutation of the wrong length would be taken for the identity, an
+// out-of-range entry would read past the input row, and a short factor
+// would be over-read by the shard weight upload.
+nn::ForwardSpec ButterflySpec64() {
+  Rng rng(5);
+  core::ShlShape shape;
+  shape.input = 64;
+  shape.hidden = 64;
+  shape.classes = 10;
+  nn::Sequential model = nn::BuildShl(core::Method::kButterfly, shape, rng);
+  nn::ForwardSpec spec = nn::ExportForward(model);
+  spec.butterfly_perm.resize(64);
+  std::iota(spec.butterfly_perm.begin(), spec.butterfly_perm.end(), 0u);
+  return spec;
+}
+
+void ExpectBothPlansReject(const nn::ForwardSpec& spec) {
+  auto plan = serve::ModelPlan::Build(spec, Gc200(),
+                                      serve::PlanOptions{.max_batch = 4});
+  EXPECT_FALSE(plan.ok()) << "ModelPlan accepted the spec";
+  if (!plan.ok()) {
+    EXPECT_EQ(plan.status().code(), ErrorCode::kInvalidArgument);
+  }
+  cluster::ShardOptions opts;
+  opts.num_chips = 4;
+  opts.max_batch = 4;
+  auto shard = cluster::ShardPlan::Build(spec, Gc200(), opts);
+  EXPECT_FALSE(shard.ok()) << "ShardPlan accepted the spec";
+  if (!shard.ok()) {
+    EXPECT_EQ(shard.status().code(), ErrorCode::kInvalidArgument);
+  }
+}
+
+TEST(FailureInjection, ButterflySpecIdentityPermBuilds) {
+  const nn::ForwardSpec spec = ButterflySpec64();
+  EXPECT_TRUE(serve::ModelPlan::Build(spec, Gc200(),
+                                      serve::PlanOptions{.max_batch = 4})
+                  .ok());
+  cluster::ShardOptions opts;
+  opts.num_chips = 4;
+  opts.max_batch = 4;
+  EXPECT_TRUE(cluster::ShardPlan::Build(spec, Gc200(), opts).ok());
+}
+
+TEST(FailureInjection, ButterflySpecPermOfWrongLengthRejected) {
+  nn::ForwardSpec spec = ButterflySpec64();
+  spec.butterfly_perm.pop_back();
+  ExpectBothPlansReject(spec);
+}
+
+TEST(FailureInjection, ButterflySpecDuplicatePermEntryRejected) {
+  nn::ForwardSpec spec = ButterflySpec64();
+  spec.butterfly_perm[5] = 4;
+  ExpectBothPlansReject(spec);
+}
+
+TEST(FailureInjection, ButterflySpecOutOfRangePermEntryRejected) {
+  nn::ForwardSpec spec = ButterflySpec64();
+  spec.butterfly_perm[5] = 64;
+  ExpectBothPlansReject(spec);
+}
+
+TEST(FailureInjection, ButterflySpecShortFactorRejected) {
+  nn::ForwardSpec spec = ButterflySpec64();
+  spec.butterfly_factors[3].resize(2 * 64 - 4);
+  ExpectBothPlansReject(spec);
 }
 
 // A zero evaluation interval would re-arm the autoscaler at the same

@@ -32,10 +32,11 @@ TEST(Integration, IpuButterflyGraphMatchesHostButterfly) {
   std::vector<ipu::Tensor> weights;
   for (unsigned f = 0; f < Log2(n); ++f) {
     const std::size_t stride = std::size_t{1} << f;
-    ipu::Tensor w = g.addVariable("w" + std::to_string(f), n / 2, 4);
+    const std::string id = std::to_string(f);
+    ipu::Tensor w = g.addVariable("w" + id, n / 2, 4);
     g.mapLinearly(w, 4);
     weights.push_back(w);
-    ipu::ComputeSetId cs = g.addComputeSet("bf" + std::to_string(f));
+    ipu::ComputeSetId cs = g.addComputeSet("bf" + id);
     std::size_t p = 0;
     for (std::size_t base = 0; base < n; base += 2 * stride) {
       for (std::size_t i = 0; i < stride; ++i, ++p) {

@@ -51,8 +51,9 @@ TEST(CopyBundleExec, OneSyncForManyCopies) {
     Graph& g = e.graph();
     std::vector<Program> copies;
     for (int i = 0; i < 16; ++i) {
-      Tensor a = g.addVariable("a" + std::to_string(i), 256);
-      Tensor b = g.addVariable("b" + std::to_string(i), 256);
+      const std::string id = std::to_string(i);
+      Tensor a = g.addVariable("a" + id, 256);
+      Tensor b = g.addVariable("b" + id, 256);
       g.setTileMapping(a, 2 * i);
       g.setTileMapping(b, 2 * i + 1);
       copies.push_back(Program::Copy(a, b));

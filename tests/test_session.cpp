@@ -76,8 +76,9 @@ TEST(SessionDeterminism, CopyBundleBitsStableAcrossThreads) {
     std::vector<Program> copies;
     std::vector<Tensor> srcs, dsts;
     for (int i = 0; i < 8; ++i) {
-      Tensor a = g.addVariable("a" + std::to_string(i), 4096);
-      Tensor b = g.addVariable("b" + std::to_string(i), 4096);
+      const std::string id = std::to_string(i);
+      Tensor a = g.addVariable("a" + id, 4096);
+      Tensor b = g.addVariable("b" + id, 4096);
       g.setTileMapping(a, 2 * i);
       g.setTileMapping(b, 2 * i + 1);
       copies.push_back(Program::Copy(a, b));
